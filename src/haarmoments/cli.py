@@ -31,6 +31,9 @@ class UsageError(Exception):
     pass
 
 
+METHODS = ("auto", "group", "invariant")
+
+
 def _query_obj(q: MomentQuery) -> dict:
     return {"n": q.n, "I": list(q.I), "J": list(q.J),
             "K": list(q.K), "L": list(q.L)}
@@ -95,6 +98,9 @@ def _resolve_n(n_arg, *lists) -> int:
 
 def _compute_moment(q: MomentQuery, method: str, symbolic: bool):
     """Return (value, method_used, family) for one query."""
+    if method not in METHODS:
+        raise UsageError(f"method must be one of {', '.join(METHODS)}, "
+                         f"not {method!r}")
     cm = canonicalize(q)
     family = None
     if method in ("auto", "invariant"):
@@ -148,10 +154,6 @@ def _run_batch(args) -> int:
                 continue
             try:
                 obj = json.loads(line)
-                if "n" not in obj:
-                    obj = dict(obj)
-                    obj["n"] = _resolve_n(
-                        None, *(obj.get(k, ()) for k in "IJKL"))
                 q = MomentQuery.from_json_obj(obj)
                 symbolic = bool(obj.get("symbolic", False)) or args.symbolic
                 method = obj.get("method", args.method)
@@ -330,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", default="", help="columns of conjugated entries")
     p.add_argument("--K", default="", help="rows of plain entries")
     p.add_argument("--L", default="", help="columns of plain entries")
-    p.add_argument("--method", choices=("auto", "group", "invariant"),
-                   default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--symbolic", action="store_true",
                    help="return a rational function of n")
     p.add_argument("--batch", default=None, metavar="FILE",

@@ -42,8 +42,27 @@ class MomentQuery:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MomentQuery":
-        return cls.make(int(obj["n"]), obj.get("I", ()), obj.get("J", ()),
-                        obj.get("K", ()), obj.get("L", ()))
+        """Read a decoded JSON query object.  Absent lists are empty; an
+        absent n is the largest index used (1 if there is none).  Raises
+        ValueError on anything that is not such an object."""
+        if not isinstance(obj, dict):
+            raise ValueError("query must be a JSON object")
+        lists = []
+        for name in "IJKL":
+            seq = obj.get(name, [])
+            if not isinstance(seq, list) or not all(
+                    isinstance(v, int) and not isinstance(v, bool)
+                    for v in seq):
+                raise ValueError(f"{name} must be a list of integers")
+            lists.append(seq)
+        if "n" not in obj:
+            n = max((v for seq in lists for v in seq), default=1)
+        else:
+            try:
+                n = int(obj["n"])
+            except TypeError:
+                raise ValueError("n must be an integer") from None
+        return cls.make(n, *lists)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,12 @@ the class integral
 over irreps f of the symmetric group (at fixed dimension n, restricted to f
 with at most n rows; symbolically, over all f, valid for n >= p).
 
+Symbolically, (p!)^2 dbar_f = d_f p! P_f(n) where P_f(n) = prod (n + content)
+over the cells of f, so every term shares the denominator (p!)^2 D_p(n) with
+D_p the lcm of the P_f.  The counts are first folded into one weight per shape,
+w_f = sum_c N(c) chi_f(c); the numerator sum_f w_f d_f p! D_p/P_f is then
+summed in integers over that denominator and reduced once.
+
 N is not found by enumerating every pair: the composition S∘Q∘R takes each
 element of the double coset S_J·Q·S_I exactly |H| times, H = S_J ∩ Q·S_I·Q⁻¹,
 so the engine composes each element once and weights its class by |H|.  The
@@ -37,10 +43,8 @@ from .partitions import (
     Partition,
     Perm,
     character,
-    class_size,
     compose,
     dim_symmetric,
-    dim_unitary,
     dim_unitary_at,
     partitions_of,
 )
@@ -68,33 +72,49 @@ def backend_name() -> str:
 # class integrals
 
 @lru_cache(maxsize=None)
-def _xi_table_symbolic(p: int) -> dict[Partition, RationalFunction]:
+def _shape_terms(p: int) -> tuple[Poly, tuple[tuple[Partition, Poly], ...]]:
+    """The common denominator (p!)^2 D_p(n) and, per shape f of p, the
+    numerator d_f p! D_p(n)/P_f(n) of its term d_f^2 / ((p!)^2 dbar_f)."""
     shapes = partitions_of(p)
-    fact_sq = factorial(p) ** 2
-    bases = []
-    for f in shapes:
-        d = dim_symmetric(f)
-        du = dim_unitary(f)  # P_f(n) / hook_product
-        # d^2 / ((p!)^2 dbar_f) = d^2 * hooks / ((p!)^2 * P_f(n))
-        hooks = du.den  # constant polynomial
-        bases.append(
-            RationalFunction(Poly.const(d * d) * hooks,
-                             du.num * Poly.const(fact_sq))
-        )
-    table: dict[Partition, RationalFunction] = {}
-    for ct in shapes:
-        acc = RationalFunction.zero()
-        for f, base in zip(shapes, bases):
-            chi = character(f, ct)
-            if chi:
-                acc = acc + base * chi
-        table[ct] = acc.with_validity(p)
-    return table
+    contents = [
+        Counter(j - i for i, row in enumerate(f) for j in range(row))
+        for f in shapes
+    ]
+    lcm: Counter[int] = Counter()
+    for c in contents:
+        lcm |= c
+
+    def times_factors(const: int, factors: Counter) -> Poly:
+        out = Poly.const(const)
+        for k in factors.elements():
+            out = out * Poly.n_plus(k)
+        return out
+
+    den = times_factors(factorial(p) ** 2, lcm)
+    terms = tuple(
+        (f, times_factors(dim_symmetric(f) * factorial(p), lcm - c))
+        for f, c in zip(shapes, contents)
+    )
+    return den, terms
 
 
+def _fold_symbolic(counts: dict[Partition, int], p: int) -> RationalFunction:
+    """sum_c counts[c] * xi_p(c) as one reduced rational function, valid for
+    n >= p."""
+    den, terms = _shape_terms(p)
+    num = [0] * len(den.coeffs)
+    for f, term in terms:
+        w = sum(cnt * character(f, ct) for ct, cnt in counts.items())
+        if w:
+            for k, c in enumerate(term.coeffs):
+                num[k] += w * c
+    return RationalFunction(Poly(num), den, p)
+
+
+@lru_cache(maxsize=None)
 def xi_symbolic(ct: Partition) -> RationalFunction:
     """Class integral as a rational function of n, valid for n >= p."""
-    return _xi_table_symbolic(sum(ct))[ct]
+    return _fold_symbolic({ct: 1}, sum(ct))
 
 
 @lru_cache(maxsize=None)
@@ -216,11 +236,7 @@ def moment_symbolic(m: CanonicalMoment) -> RationalFunction:
     if m.p == 0:
         return RationalFunction.one()
     m = orient(relabel(m))
-    counts = _class_counts_cached(m.I, m.J, m.Q)
-    acc = RationalFunction.zero()
-    for ct, cnt in counts.items():
-        acc = acc + xi_symbolic(ct) * cnt
-    return acc.with_validity(m.p)
+    return _fold_symbolic(_class_counts_cached(m.I, m.J, m.Q), m.p)
 
 
 def moment_at(m: CanonicalMoment, n: int | None = None) -> Fraction:

@@ -106,11 +106,29 @@ def test_batch_mode(tmp_path, capsys):
 
 
 def test_batch_mode_reports_bad_lines(tmp_path, capsys):
+    good = '{"n": 3, "I": [1], "J": [2], "K": [1], "L": [2]}'
+    bad = [
+        '{"n": 2, "I": [9], "J": [1], "K": [9], "L": [1]}',
+        '{"n": 2, "I": 5, "J": [1], "K": [1], "L": [1]}',
+        '[1, 2]',
+        '"text"',
+        'not json',
+        '{"I": [1, "a"], "J": [1], "K": [1], "L": [1]}',
+        '{"I": [1.5], "J": [1], "K": [1], "L": [1]}',
+        '{"I": [true], "J": [1], "K": [1], "L": [1]}',
+        '{"n": [2], "I": [1], "J": [1], "K": [1], "L": [1]}',
+        '{"I": [1], "J": [2], "K": [1], "L": [2], "method": "nope"}',
+    ]
     path = tmp_path / "queries.jsonl"
-    path.write_text('{"n": 2, "I": [9], "J": [1], "K": [9], "L": [1]}\n')
+    path.write_text("".join(f"{line}\n{good}\n" for line in bad))
     code, out, _ = run_cli(capsys, "moment", "--batch", str(path))
     assert code == 1
-    assert "error" in json.loads(out)
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert len(docs) == 2 * len(bad)
+    for line, err_doc, good_doc in zip(bad, docs[::2], docs[1::2]):
+        assert err_doc["input"] == line and "error" in err_doc
+        assert good_doc["value"]["rational"] == "1/3"
+    assert "method must be one of" in docs[-2]["error"]
 
 
 def test_batch_mode_reads_stdin(capsys, monkeypatch):

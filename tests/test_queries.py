@@ -23,6 +23,17 @@ def test_json_round_trip():
     assert q2 == q
 
 
+def test_from_json_obj_defaults_and_refusals():
+    q = MomentQuery.from_json_obj({"I": [1, 3], "J": [2, 1],
+                                   "K": [3, 1], "L": [1, 2]})
+    assert q == MomentQuery.make(3, (1, 3), (2, 1), (3, 1), (1, 2))
+    assert MomentQuery.from_json_obj({}) == MomentQuery.make(1, (), (), (), ())
+    for bad in ([1, 2], "q", None, {"I": 5}, {"J": [1, "2"]}, {"K": [1.0]},
+                {"L": [False]}, {"n": [2]}):
+        with pytest.raises(ValueError):
+            MomentQuery.from_json_obj(bad)
+
+
 def test_zero_when_multisets_differ():
     # K not a permutation of I
     m = canonicalize(MomentQuery.make(2, (1,), (1,), (2,), (1,)))

@@ -3,11 +3,15 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarmoments import weingarten
-from haarmoments.partitions import cycle_type
+from haarmoments.partitions import (character, cycle_type, hook_lengths,
+                                    partitions_of)
 from haarmoments.queries import MomentQuery, canonicalize
 from haarmoments.ratfun import Poly, RationalFunction
 
@@ -44,6 +48,34 @@ def test_xi_symbolic_validity_floor():
     assert weingarten.xi_symbolic((2, 1)).validity_min_n == 3
     with pytest.raises(ValueError, match="outside validity domain"):
         weingarten.xi_symbolic((2, 1)).eval_at(2)
+
+
+def _reference_xi(ct):
+    """The defining per-shape sum chi_f(c) d_f^2 h_f / ((p!)^2 P_f(n)), with
+    P_f(n) the product of (n + content) over the cells of f, accumulated
+    one reduced term at a time."""
+    p = sum(ct)
+    acc = RationalFunction.zero()
+    for f in partitions_of(p):
+        content_poly = Poly((1,))
+        for i, row in enumerate(f):
+            for j in range(row):
+                content_poly = content_poly * Poly.n_plus(j - i)
+        hooks = prod(hook_lengths(f))
+        d = factorial(p) // hooks
+        acc = acc + RationalFunction(
+            Poly.const(character(f, ct) * d * d * hooks),
+            content_poly * factorial(p) ** 2)
+    return acc.with_validity(p)
+
+
+def test_xi_symbolic_matches_per_shape_sum():
+    for p in range(1, 9):
+        for ct in partitions_of(p):
+            got = weingarten.xi_symbolic(ct)
+            want = _reference_xi(ct)
+            assert (got.num, got.den, got.validity_min_n) == (
+                want.num, want.den, want.validity_min_n), ct
 
 
 def test_xi_fixed_n_row_restriction():
@@ -173,6 +205,27 @@ def test_symbolic_matches_fixed_n_above_floor():
             fixed = weingarten.evaluate(
                 MomentQuery.make(n, q.I, q.J, q.K, q.L))
             assert sym.eval_at(n) == fixed
+
+
+@st.composite
+def _group_queries(draw):
+    """Nonzero queries of degree p <= 7 at n = p: K and L rearrange I, J."""
+    p = draw(st.integers(1, 7))
+    I = draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
+    J = draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
+    K = draw(st.permutations(I))
+    L = draw(st.permutations(J))
+    return MomentQuery.make(p, I, J, K, L)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_group_queries())
+def test_symbolic_matches_fixed_n_property(q):
+    m = canonicalize(q)
+    sym = weingarten.moment_symbolic(m)
+    assert sym.validity_min_n == m.p
+    for n in (m.p, m.p + 1, m.p + 3):
+        assert sym.eval_at(n) == weingarten.moment_at(m, n), n
 
 
 def test_backends_agree(monkeypatch):
