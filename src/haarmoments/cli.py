@@ -248,10 +248,18 @@ def _cmd_mc(args) -> int:
         obj = json.loads(args.query)
     except json.JSONDecodeError as e:
         raise UsageError(f"--query is not valid JSON: {e}")
+    if not isinstance(obj, dict):
+        raise UsageError("--query must be a JSON object")
     kind = obj.get("kind", "haar")
     if kind == "sphere":
-        exponents = tuple(int(v) for v in obj["exponents"])
-        n = int(obj.get("n", len(exponents)))
+        try:
+            exponents = tuple(int(v) for v in obj["exponents"])
+            n = int(obj.get("n", len(exponents)))
+        except KeyError:
+            raise UsageError("sphere query needs 'exponents'") from None
+        except TypeError:
+            raise UsageError("sphere query needs a list of integer "
+                             "'exponents' and an integer 'n'") from None
         if n != len(exponents):
             raise UsageError("sphere query needs one exponent per coordinate")
         cfg = SamplerConfig(n=n, samples=args.samples, seed=args.seed,

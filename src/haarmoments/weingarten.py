@@ -19,33 +19,32 @@ D_p the lcm of the P_f.  The counts are first folded into one weight per shape,
 w_f = sum_c N(c) chi_f(c); the numerator sum_f w_f d_f p! D_p/P_f is then
 summed in integers over that denominator and reduced once.
 
+At fixed n, P_f(n) is an integer, zero exactly when f has more than n rows,
+and the term is chi_f(c) d_f / (p! P_f(n)).  xi_p(c) is the integer sum
+sum_f chi_f(c) d_f L/P_f(n) over the shapes with at most n rows, L the lcm of
+their P_f(n), divided once by p! L.
+
 N is not found by enumerating every pair: the composition S∘Q∘R takes each
 element of the double coset S_J·Q·S_I exactly |H| times, H = S_J ∩ Q·S_I·Q⁻¹,
 so the engine composes each element once and weights its class by |H|.  The
-pure-Python counting loop is fast enough for every stated runtime budget; an
-optional compiled kernel is used when it was built (HAAR_MOMENTS_PURE=1
-forces the pure path).  Queries whose raw pair sum |S_I|·|S_J| exceeds
-PAIR_CAP are refused; Monte Carlo estimation is the intended tool there.
+cycle types are counted by ``_counting``: a tile at a time in numpy, or by a
+tuple loop for small products.  Queries whose raw pair sum |S_I|·|S_J|
+exceeds PAIR_CAP are refused; Monte Carlo estimation is the intended tool
+there.
 """
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterator
+from math import factorial, lcm, prod
 
-import numpy as np
-
-from . import _countpy
+from ._counting import count_compositions
 from .partitions import (
     Partition,
-    Perm,
     character,
     compose,
     dim_symmetric,
-    dim_unitary_at,
     partitions_of,
 )
 from .queries import CanonicalMoment, MomentQuery, canonicalize, orient, relabel
@@ -53,19 +52,11 @@ from .ratfun import Poly, RationalFunction
 from .stabilizer import stabilizer
 
 PAIR_CAP = 10**8
-_CHUNK = 1 << 14
-
-if os.environ.get("HAAR_MOMENTS_PURE"):
-    _kernel = None
-else:
-    try:
-        from . import _countkernel as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        _kernel = None
 
 
 def backend_name() -> str:
-    return "compiled" if _kernel is not None else "pure-python"
+    """The counting backend, for benchmark records: there is only one."""
+    return "pure-python"
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +67,10 @@ def _shape_terms(p: int) -> tuple[Poly, tuple[tuple[Partition, Poly], ...]]:
     """The common denominator (p!)^2 D_p(n) and, per shape f of p, the
     numerator d_f p! D_p(n)/P_f(n) of its term d_f^2 / ((p!)^2 dbar_f)."""
     shapes = partitions_of(p)
-    contents = [
-        Counter(j - i for i, row in enumerate(f) for j in range(row))
-        for f in shapes
-    ]
-    lcm: Counter[int] = Counter()
+    contents = [Counter(_contents(f)) for f in shapes]
+    lcm_factors: Counter[int] = Counter()
     for c in contents:
-        lcm |= c
+        lcm_factors |= c
 
     def times_factors(const: int, factors: Counter) -> Poly:
         out = Poly.const(const)
@@ -90,9 +78,9 @@ def _shape_terms(p: int) -> tuple[Poly, tuple[tuple[Partition, Poly], ...]]:
             out = out * Poly.n_plus(k)
         return out
 
-    den = times_factors(factorial(p) ** 2, lcm)
+    den = times_factors(factorial(p) ** 2, lcm_factors)
     terms = tuple(
-        (f, times_factors(dim_symmetric(f) * factorial(p), lcm - c))
+        (f, times_factors(dim_symmetric(f) * factorial(p), lcm_factors - c))
         for f, c in zip(shapes, contents)
     )
     return den, terms
@@ -118,22 +106,30 @@ def xi_symbolic(ct: Partition) -> RationalFunction:
 
 
 @lru_cache(maxsize=None)
+def _fixed_n_terms(
+        p: int, n: int) -> tuple[int, tuple[tuple[Partition, int], ...]]:
+    """At dimension n: the common denominator p! L, L the lcm of P_f(n) over
+    the shapes f of p with at most n rows, and per such f the numerator
+    d_f L/P_f(n) of its term d_f^2 / ((p!)^2 dbar_f(n)) = d_f / (p! P_f(n))."""
+    shapes = [f for f in partitions_of(p) if len(f) <= n]
+    values = [prod(n + c for c in _contents(f)) for f in shapes]
+    common = lcm(*values)
+    return factorial(p) * common, tuple(
+        (f, dim_symmetric(f) * (common // v)) for f, v in zip(shapes, values))
+
+
+@lru_cache(maxsize=None)
 def xi_at(ct: Partition, n: int) -> Fraction:
     """Class integral at fixed dimension; shapes with more than n rows drop."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    p = sum(ct)
-    fact_sq = factorial(p) ** 2
-    total = Fraction(0)
-    for f in partitions_of(p):
-        if len(f) > n:
-            continue
-        chi = character(f, ct)
-        if not chi:
-            continue
-        d = dim_symmetric(f)
-        total += Fraction(d * d * chi) / (fact_sq * dim_unitary_at(f, n))
-    return total
+    den, terms = _fixed_n_terms(sum(ct), n)
+    return Fraction(sum(character(f, ct) * w for f, w in terms), den)
+
+
+def _contents(f: Partition) -> list[int]:
+    """The content j - i of each cell (i, j) of f."""
+    return [j - i for i, row in enumerate(f) for j in range(row)]
 
 
 # ---------------------------------------------------------------------------
@@ -165,61 +161,13 @@ def _class_counts_cached(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
     reps = GI.cosets([J[Q[x]] for x in range(p)])
     weight = GI.order // reps.order
 
-    # Hold the smaller factor, stream the larger; the composed element is
-    # always S∘Q∘R with R a coset representative and S from S_J.
+    # Hold the smaller factor, stream the larger.  Streaming R against held
+    # S∘Q composes R∘S∘Q, a conjugate of S∘Q∘R with the same cycle type.
     if reps.order <= GJ.order:
-        held = [compose(Q, r) for r in reps]
-        stream = GJ
+        counts = count_compositions(GJ, [compose(Q, r) for r in reps])
     else:
-        held = [compose(s, Q) for s in GJ]
-        stream = reps
-
-    def operands(chunk, held):
-        """(A, B) for count_pairs, which composes a∘b over A × B."""
-        return (chunk, held) if stream is GJ else (held, chunk)
-
-    if _kernel is not None:
-        shapes = partitions_of(p)
-        base = p + 1
-        keys = []
-        for ct in shapes:
-            k = 0
-            for part in ct:
-                k = k * base + part
-            keys.append(k)
-        order = np.argsort(keys)
-        keys_arr = np.array([keys[i] for i in order], dtype=np.uint64)
-        counts_arr = np.zeros(len(keys), dtype=np.int64)
-        held_rows = _packed(held, p)
-        for chunk in _chunks(stream):
-            _kernel.count_pairs(*operands(_packed(chunk, p), held_rows),
-                                keys_arr, counts_arr)
-        return {
-            shapes[order[i]]: int(c) * weight
-            for i, c in enumerate(counts_arr)
-            if c
-        }
-
-    out: Counter[Partition] = Counter()
-    for chunk in _chunks(stream):
-        _countpy.count_pairs(*operands(chunk, held), out)
-    return {ct: c * weight for ct, c in out.items()}
-
-
-def _chunks(perms) -> Iterator[list[Perm]]:
-    buf: list[Perm] = []
-    for perm in perms:
-        buf.append(perm)
-        if len(buf) == _CHUNK:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
-
-
-def _packed(perms: list[Perm], p: int) -> np.ndarray:
-    """Permutations as the rows of a C-contiguous uint8 array."""
-    return np.array(perms, dtype=np.uint8).reshape(len(perms), p)
+        counts = count_compositions(reps, [compose(s, Q) for s in GJ])
+    return {ct: c * weight for ct, c in counts.items()}
 
 
 def class_counts(I, J, Q) -> dict[Partition, int]:

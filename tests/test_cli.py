@@ -220,6 +220,16 @@ def test_mc_sphere_query(capsys):
     assert doc["exact"] == "1/15"
 
 
+def test_mc_refuses_bad_queries(capsys):
+    for query in ('[1,2]', '{"kind":"sphere","n":3}',
+                  '{"kind":"sphere","exponents":5}', '{"kind":"cube"}'):
+        code, out, err = run_cli(capsys, "mc", "--query", query,
+                                 "--samples", "100")
+        assert code == 2, query
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, query
+
+
 def test_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "sphere")
     assert code == 0

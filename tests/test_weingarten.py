@@ -5,13 +5,15 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from haarmoments import weingarten
-from haarmoments.partitions import (character, cycle_type, hook_lengths,
-                                    partitions_of)
+from haarmoments import _counting, weingarten
+from haarmoments.partitions import (character, compose, cycle_type,
+                                    dim_symmetric, dim_unitary_at,
+                                    hook_lengths, partitions_of)
 from haarmoments.queries import MomentQuery, canonicalize
 from haarmoments.ratfun import Poly, RationalFunction
 
@@ -79,18 +81,19 @@ def test_xi_symbolic_matches_per_shape_sum():
 
 
 def test_xi_fixed_n_row_restriction():
-    # below the symbolic validity floor (n=2 < p=3) only shapes with at most
-    # n rows contribute; check against the defining sum, restricted by hand
-    from haarmoments.partitions import (character, dim_symmetric,
-                                        dim_unitary_at, partitions_of)
-    for ct in ((3,), (2, 1), (1, 1, 1)):
-        want = Fraction(0)
-        for f in partitions_of(3):
-            if len(f) > 2:
-                continue
-            want += Fraction(dim_symmetric(f) ** 2 * character(f, ct),
-                             36 * dim_unitary_at(f, 2))
-        assert weingarten.xi_at(ct, 2) == want
+    # the defining sum, with shapes of more than n rows dropped by hand; n < p
+    # is below the symbolic validity floor
+    for p in range(1, 10):
+        fact_sq = factorial(p) ** 2
+        for ct in partitions_of(p):
+            for n in range(1, p + 3):
+                want = Fraction(0)
+                for f in partitions_of(p):
+                    if len(f) <= n:
+                        want += Fraction(
+                            dim_symmetric(f) ** 2 * character(f, ct),
+                            fact_sq) / dim_unitary_at(f, n)
+                assert weingarten.xi_at(ct, n) == want, (ct, n)
 
 
 def test_class_counts_trivial_stabilizers():
@@ -228,21 +231,90 @@ def test_symbolic_matches_fixed_n_property(q):
         assert sym.eval_at(n) == weingarten.moment_at(m, n), n
 
 
-def test_backends_agree(monkeypatch):
-    cases = [
-        ((1, 1, 2), (1, 2, 2), (0, 1, 2)),
-        ((1, 1, 1), (1, 2, 3), (2, 0, 1)),
-        ((1, 2, 1, 2), (1, 1, 2, 2), (3, 2, 1, 0)),
-        ((1,) * 5, (1, 1, 2, 2, 3), (0, 1, 2, 3, 4)),
-    ]
-    fast = [weingarten.class_counts(*c) for c in cases]
-    monkeypatch.setattr(weingarten, "_kernel", None)
-    slow = [weingarten._class_counts_cached.__wrapped__(*c) for c in cases]
-    assert fast == [dict(s) for s in slow]
+def _random_perms(rng, count, p):
+    out = []
+    for _ in range(count):
+        perm = list(range(p))
+        rng.shuffle(perm)
+        out.append(tuple(perm))
+    return out
+
+
+def _loop_counts(A, B):
+    out = Counter()
+    _counting._count_loop(A, B, out)
+    return dict(out)
+
+
+def _tile_counts(A, B):
+    p = len(B[0])
+    radix = _counting._radix(p)
+    keys = Counter()
+    _counting._count_tiles(np.array(A, dtype=np.intp).reshape(len(A), p),
+                           np.array(B, dtype=np.intp).reshape(len(B), p),
+                           radix, keys)
+    return {_counting._decode(k, radix): c for k, c in keys.items()}
+
+
+def test_tile_kernel_matches_loop():
+    rng = random.Random(7)
+    cross = _counting._LOOP_MAX
+    tile = _counting._TILE
+    cases = [([()], [()]), ([()] * 3, [()] * 2), ([(0,)] * 4, [(0,)] * 5)]
+    # both sides of the loop/tile crossover, and products spanning tiles
+    # (_TILE counts points, p per composition): several stream rows per
+    # tile, and a held list split across tiles
+    for p, na, nb in ((6, cross // 4, 4), (6, cross // 4 + 1, 4),
+                      (7, 3, cross // 3 + 1), (5, 400, 7),
+                      (6, 3, tile // 6 + 9), (9, 2 * tile // 45 + 3, 5)):
+        cases.append((_random_perms(rng, na, p), _random_perms(rng, nb, p)))
+    for A, B in cases:
+        want = _loop_counts(A, B)
+        assert _tile_counts(A, B) == want
+        assert dict(_counting.count_compositions(iter(A), B)) == want
+
+
+def test_cycle_keys_exact_at_widest_degree():
+    # p = 35 is the largest degree whose keys fit in int64; above it the
+    # counting falls back to the tuple loop
+    assert _counting._radix(35) is not None
+    assert _counting._radix(36) is None
+    rng = random.Random(3)
+    rows = [tuple(range(35)), tuple(range(1, 35)) + (0,)]
+    rows += _random_perms(rng, 30, 35)
+    radix = _counting._radix(35)
+    keys = _counting._cycle_keys(np.array(rows, dtype=np.intp), radix)
+    assert [_counting._decode(k, radix) for k in keys.tolist()] == [
+        cycle_type(r) for r in rows]
+    # p = 36 past the crossover: 120 compositions, S_J and H trivial
+    I = (1,) * 5 + tuple(range(2, 33))
+    J = tuple(range(1, 37))
+    Q = tuple(rng.sample(range(36), 36))
+    want = Counter(cycle_type(compose(Q, r + tuple(range(5, 36))))
+                   for r in permutations(range(5)))
+    assert weingarten.class_counts(I, J, Q) == dict(want)
+
+
+@st.composite
+def _index_triples(draw):
+    p = draw(st.integers(0, 6))
+    labels = st.integers(1, draw(st.integers(1, max(p, 1))))
+    I = draw(st.lists(labels, min_size=p, max_size=p))
+    J = draw(st.lists(labels, min_size=p, max_size=p))
+    Q = draw(st.permutations(range(p)))
+    return tuple(I), tuple(J), tuple(Q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_index_triples())
+def test_class_counts_match_brute_force_property(triple):
+    I, J, Q = triple
+    assume(len(_fixing(I)) * len(_fixing(J)) <= 20000)
+    assert weingarten.class_counts(I, J, Q) == _brute_class_counts(I, J, Q)[0]
 
 
 def test_backend_name_reports():
-    assert weingarten.backend_name() in ("compiled", "pure-python")
+    assert weingarten.backend_name() == "pure-python"
 
 
 def test_moment_at_accepts_canonical_directly():
