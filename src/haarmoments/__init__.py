@@ -10,8 +10,8 @@ cross-checks, and the same machinery covers monomial moments of uniformly
 random points on the real unit hypersphere.
 """
 from .invariants import (degree3, degree3_query, exchange_e2, e2_query, fan,
-                         fan_query, match_closed_form, x_integral, x_query,
-                         x_special, z_integral, z_query)
+                         fan_query, match_closed_form, moment, x_integral,
+                         x_query, x_special, z_integral, z_query)
 from .montecarlo import (Estimate, SamplerConfig, estimate_moment,
                          estimate_sphere_moment, haar_batch, mc_tolerance,
                          sphere_batch)
@@ -31,7 +31,7 @@ __all__ = [
     "class_size", "degree3", "degree3_query", "dim_symmetric", "dim_unitary",
     "e2_query", "estimate_moment", "estimate_sphere_moment", "evaluate",
     "exchange_e2", "fan", "fan_query", "haar_batch", "match_closed_form",
-    "mc_tolerance", "moment_at", "moment_symbolic", "partitions_of",
+    "mc_tolerance", "moment", "moment_at", "moment_symbolic", "partitions_of",
     "s_multi", "s_single", "s_single_symbolic", "sphere_batch",
     "sphere_moment", "x_integral", "x_query", "x_special", "xi_at",
     "xi_symbolic", "z_integral", "z_query",

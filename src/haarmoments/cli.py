@@ -1,4 +1,5 @@
-"""Command-line interface.
+"""Command-line interface: argument parsing and result printing only.  The
+choice of evaluation route belongs to ``invariants.moment``.
 
 Subcommands:
   moment   exact monomial moment of unitary matrix entries
@@ -18,20 +19,16 @@ import argparse
 import contextlib
 import json
 import sys
-from fractions import Fraction
 
 from . import invariants, sphere, suites, weingarten
 from .montecarlo import (SamplerConfig, estimate_moment,
                          estimate_sphere_moment, mc_tolerance)
-from .queries import MomentQuery, canonicalize
+from .queries import MomentQuery, is_int
 from .ratfun import RationalFunction
 
 
 class UsageError(Exception):
     pass
-
-
-METHODS = ("auto", "group", "invariant")
 
 
 def _query_obj(q: MomentQuery) -> dict:
@@ -63,20 +60,25 @@ def _value_json(value, symbolic: bool) -> dict:
             "float": float(value)}
 
 
+def _result_doc(value, query_json, method) -> dict:
+    """The JSON result document of one computed exact value."""
+    symbolic = isinstance(value, RationalFunction)
+    doc = {}
+    if query_json is not None:
+        doc["query"] = query_json
+    if method is not None:
+        doc["method"] = method
+    doc["value"] = _value_json(value, symbolic)
+    if symbolic:
+        doc["validity_min_n"] = value.validity_min_n
+    return doc
+
+
 def _emit(value, output: str, query_json=None, method=None) -> None:
     """Print one computed exact value in the requested representation."""
-    symbolic = isinstance(value, RationalFunction)
     if output == "json":
-        doc = {}
-        if query_json is not None:
-            doc["query"] = query_json
-        if method is not None:
-            doc["method"] = method
-        doc["value"] = _value_json(value, symbolic)
-        if symbolic:
-            doc["validity_min_n"] = value.validity_min_n
-        print(json.dumps(doc))
-    elif symbolic:
+        print(json.dumps(_result_doc(value, query_json, method)))
+    elif isinstance(value, RationalFunction):
         print(str(value))
     elif output == "float":
         print(_format_float(float(value)))
@@ -96,32 +98,6 @@ def _resolve_n(n_arg, *lists) -> int:
     return peak
 
 
-def _compute_moment(q: MomentQuery, method: str, symbolic: bool):
-    """Return (value, method_used, family) for one query."""
-    if method not in METHODS:
-        raise UsageError(f"method must be one of {', '.join(METHODS)}, "
-                         f"not {method!r}")
-    cm = canonicalize(q)
-    family = None
-    if method in ("auto", "invariant"):
-        hit = invariants.match_closed_form(cm)
-        if hit is not None:
-            family, rf = hit
-            if symbolic:
-                return rf, "invariant", family
-            try:
-                return rf.eval_at(q.n), "invariant", family
-            except (ValueError, ZeroDivisionError):
-                if method == "invariant":
-                    raise
-                family = None  # closed form not valid at this n; fall back
-        elif method == "invariant":
-            raise UsageError("no closed form; use method=group")
-    if symbolic:
-        return weingarten.moment_symbolic(cm), "group", None
-    return weingarten.moment_at(cm, q.n), "group", None
-
-
 def _cmd_moment(args) -> int:
     if args.batch:
         return _run_batch(args)
@@ -132,9 +108,8 @@ def _cmd_moment(args) -> int:
     n = _resolve_n(args.n, I, J, K, L)
     q = MomentQuery.make(n, I, J, K, L)
     symbolic = args.symbolic or args.output == "symbolic"
-    value, used, family = _compute_moment(q, args.method, symbolic)
-    method_label = used if family is None else f"{used}:{family}"
-    _emit(value, args.output, query_json=_query_obj(q), method=method_label)
+    value, label = invariants.moment(q, args.method, symbolic)
+    _emit(value, args.output, query_json=_query_obj(q), method=label)
     return 0
 
 
@@ -157,17 +132,9 @@ def _run_batch(args) -> int:
                 q = MomentQuery.from_json_obj(obj)
                 symbolic = bool(obj.get("symbolic", False)) or args.symbolic
                 method = obj.get("method", args.method)
-                value, used, family = _compute_moment(q, method, symbolic)
-                is_rf = isinstance(value, RationalFunction)
-                doc = {
-                    "query": _query_obj(q),
-                    "method": used if family is None else f"{used}:{family}",
-                    "value": _value_json(value, is_rf),
-                }
-                if is_rf:
-                    doc["validity_min_n"] = value.validity_min_n
-                print(json.dumps(doc))
-            except (UsageError, ValueError, ZeroDivisionError, KeyError) as e:
+                value, label = invariants.moment(q, method, symbolic)
+                print(json.dumps(_result_doc(value, _query_obj(q), label)))
+            except (ValueError, ZeroDivisionError, KeyError) as e:
                 failures += 1
                 print(json.dumps({"error": str(e), "input": line}))
     return 1 if failures else 0
@@ -252,14 +219,16 @@ def _cmd_mc(args) -> int:
         raise UsageError("--query must be a JSON object")
     kind = obj.get("kind", "haar")
     if kind == "sphere":
-        try:
-            exponents = tuple(int(v) for v in obj["exponents"])
-            n = int(obj.get("n", len(exponents)))
-        except KeyError:
-            raise UsageError("sphere query needs 'exponents'") from None
-        except TypeError:
+        exponents = obj.get("exponents")
+        if exponents is None:
+            raise UsageError("sphere query needs 'exponents'")
+        if not isinstance(exponents, list) or not all(map(is_int, exponents)):
             raise UsageError("sphere query needs a list of integer "
-                             "'exponents' and an integer 'n'") from None
+                             "'exponents'")
+        n = obj.get("n", len(exponents))
+        if not is_int(n):
+            raise UsageError("n must be an integer")
+        exponents = tuple(exponents)
         if n != len(exponents):
             raise UsageError("sphere query needs one exponent per coordinate")
         cfg = SamplerConfig(n=n, samples=args.samples, seed=args.seed,
@@ -272,7 +241,7 @@ def _cmd_mc(args) -> int:
                             threads=args.threads)
         est = estimate_moment(q, cfg)
         try:
-            exact = weingarten.evaluate(q)
+            exact = invariants.moment(q)[0]
         except ValueError:
             exact = None
     else:
@@ -340,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", default="", help="columns of conjugated entries")
     p.add_argument("--K", default="", help="rows of plain entries")
     p.add_argument("--L", default="", help="columns of plain entries")
-    p.add_argument("--method", choices=METHODS, default="auto")
+    p.add_argument("--method", choices=invariants.METHODS, default="auto")
     p.add_argument("--symbolic", action="store_true",
                    help="return a rational function of n")
     p.add_argument("--batch", default=None, metavar="FILE",
@@ -405,10 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as e:
+    except (UsageError, ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

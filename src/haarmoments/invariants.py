@@ -1,5 +1,11 @@
 """Closed forms for the moment families with known invariant-method answers,
-the queries they correspond to, and a library of exact cross-relations.
+the queries they correspond to, a library of exact cross-relations, and the
+choice of evaluation route.
+
+``moment`` is the one place that chooses between a closed form and the group
+engine; the CLI's ``moment``, ``--batch``, ``xint`` and ``mc`` all go through
+it.  ``weingarten.evaluate`` stays the group engine alone, the reference the
+closed forms are checked against.
 
 Families (all as reduced rational functions of the dimension n):
 
@@ -229,12 +235,9 @@ def x_special_weights(variant: str, t: int, u: int) -> XWeights:
 
 
 def x_family(weights: Sequence[int]) -> str | None:
-    """Classify a balanced x-loop weight vector into a closed-form family."""
+    """Name the one-step exchange loop (x4 or x5) of a balanced x-loop
+    weight vector, or None."""
     r, s, t, u, rp, sp, tp, up = weights
-    if (r, s) == (rp, sp):  # then t == tp, u == up: direct
-        if r == 0 or s == 0 or t == 0 or u == 0:
-            return "z"
-        return None
     if (r, s, rp, sp) == (1, 0, 0, 1) and (tp, up) == (t - 1, u + 1):
         return "x4"
     if (r, s, rp, sp) == (0, 1, 1, 0) and (tp, up) == (t + 1, u - 1):
@@ -244,28 +247,10 @@ def x_family(weights: Sequence[int]) -> str | None:
 
 def x_integral(weights: Sequence[int], n: int | None = None,
                symbolic: bool = False):
-    """Evaluate an x-loop query: closed form where one is known (z-reducible
-    direct case, x4/x5 one-step exchanges), the group engine otherwise."""
-    weights = tuple(weights)
-    if not x_check_balance(weights):
-        raise ValueError("x0 constraints violated")
-    fam = x_family(weights)
-    r, s, t, u, rp, sp, tp, up = weights
-    if fam == "z":
-        if r == 0:
-            form = z_integral(s, t, u)
-        elif s == 0:
-            form = z_integral(r, u, t)
-        elif t == 0:
-            form = z_integral(s, r, u)
-        else:  # u == 0
-            form = z_integral(r, s, t)
-        return form if symbolic else form.eval_at(n if n is not None else 2)
-    if fam in ("x4", "x5"):
-        form = x_special(fam, t, u)
-        return form if symbolic else form.eval_at(n if n is not None else 2)
-    q = x_query(weights, n)
-    return weingarten.evaluate(q, symbolic=symbolic)
+    """Evaluate an x-loop query (at n=2 when n is omitted) by the route
+    ``moment`` chooses: a closed form where one matches, the group engine
+    otherwise."""
+    return moment(x_query(weights, n), symbolic=symbolic)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +409,6 @@ _RELATIONS = {
     "x3": _rel_x3,
 }
 
-RELATION_NAMES = tuple(sorted(_RELATIONS))
-
 
 def verify_relation(name: str, *args, **kwargs) -> bool:
     """Exact check of one named relation instance; True iff it holds."""
@@ -471,7 +454,7 @@ def _match_exchange(wc: Counter, wp: Counter, rows, cols):
             if not x_check_balance(w):
                 continue
             fam = x_family(w)
-            if fam in ("x4", "x5"):
+            if fam is not None:
                 return (fam, x_special(fam, w[2], w[3]))
     return None
 
@@ -514,3 +497,43 @@ def match_closed_form(m: CanonicalMoment):
         if hit:
             return hit
     return None
+
+
+# ---------------------------------------------------------------------------
+# route choice: the one place that decides between a closed form and the
+# group engine
+
+METHODS = ("auto", "group", "invariant")
+
+
+def moment(q: MomentQuery, method: str = "auto", symbolic: bool = False):
+    """Evaluate a query and name the route that answered: (value, label).
+
+    The value is a Fraction at q.n, or a RationalFunction of n when
+    ``symbolic``.  The label is ``invariant:<family>`` when a closed form
+    answered and ``group`` when the group engine did.  Method ``auto`` tries
+    the closed forms first and falls back to the engine, also when the
+    matched form does not evaluate at q.n; ``invariant`` raises ValueError
+    in both cases; ``group`` goes straight to the engine.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {', '.join(METHODS)}, "
+                         f"not {method!r}")
+    cm = canonicalize(q)
+    if method != "group":
+        hit = match_closed_form(cm)
+        if hit is not None:
+            family, rf = hit
+            label = f"invariant:{family}"
+            if symbolic:
+                return rf, label
+            try:
+                return rf.eval_at(q.n), label
+            except (ValueError, ZeroDivisionError):
+                if method == "invariant":
+                    raise
+        elif method == "invariant":
+            raise ValueError("no closed form; use method=group")
+    if symbolic:
+        return weingarten.moment_symbolic(cm), "group"
+    return weingarten.moment_at(cm, q.n), "group"

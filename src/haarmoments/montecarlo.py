@@ -109,19 +109,6 @@ def sphere_batch(n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     return _sphere_from_uniforms(u, count, n)
 
 
-def sample_haar(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar unitary from an arbitrary numpy Generator (convenience;
-    the seeded batch API above defines the reproducible stream)."""
-    u = 1.0 - rng.random((1, 2 * n * n))
-    return _haar_from_uniforms(u, 1, n)[0]
-
-
-def sample_sphere(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform sphere point from an arbitrary numpy Generator."""
-    u = 1.0 - rng.random((1, 2 * ((n + 1) // 2)))
-    return _sphere_from_uniforms(u, 1, n)[0]
-
-
 # ---------------------------------------------------------------------------
 # estimators
 

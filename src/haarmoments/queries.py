@@ -21,6 +21,11 @@ from .stabilizer import stabilizer
 Indices = tuple[int, ...]
 
 
+def is_int(v) -> bool:
+    """True for a JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class MomentQuery:
     n: int
@@ -50,18 +55,15 @@ class MomentQuery:
         lists = []
         for name in "IJKL":
             seq = obj.get(name, [])
-            if not isinstance(seq, list) or not all(
-                    isinstance(v, int) and not isinstance(v, bool)
-                    for v in seq):
+            if not isinstance(seq, list) or not all(map(is_int, seq)):
                 raise ValueError(f"{name} must be a list of integers")
             lists.append(seq)
         if "n" not in obj:
             n = max((v for seq in lists for v in seq), default=1)
+        elif is_int(obj["n"]):
+            n = obj["n"]
         else:
-            try:
-                n = int(obj["n"])
-            except TypeError:
-                raise ValueError("n must be an integer") from None
+            raise ValueError("n must be an integer")
         return cls.make(n, *lists)
 
 

@@ -197,14 +197,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a if a.lead > 0 else -a
 
 
-def rising(shift: int, count: int) -> Poly:
-    """Product (n + shift)(n + shift + 1)...(n + shift + count - 1)."""
-    out = Poly((1,))
-    for j in range(count):
-        out = out * Poly.n_plus(shift + j)
-    return out
-
-
 class RationalFunction:
     """Reduced ratio of integer polynomials in the matrix dimension."""
 

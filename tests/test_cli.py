@@ -117,6 +117,10 @@ def test_batch_mode_reports_bad_lines(tmp_path, capsys):
         '{"I": [1.5], "J": [1], "K": [1], "L": [1]}',
         '{"I": [true], "J": [1], "K": [1], "L": [1]}',
         '{"n": [2], "I": [1], "J": [1], "K": [1], "L": [1]}',
+        '{"n": Infinity, "I": [1], "J": [1], "K": [1], "L": [1]}',
+        '{"n": 2.9, "I": [1], "J": [1], "K": [1], "L": [1]}',
+        '{"n": true, "I": [1], "J": [1], "K": [1], "L": [1]}',
+        '{"n": "3", "I": [1], "J": [1], "K": [1], "L": [1]}',
         '{"I": [1], "J": [2], "K": [1], "L": [2], "method": "nope"}',
     ]
     path = tmp_path / "queries.jsonl"
@@ -220,9 +224,21 @@ def test_mc_sphere_query(capsys):
     assert doc["exact"] == "1/15"
 
 
+def test_mc_exact_value_uses_closed_forms(capsys):
+    # the p=13 single-row fan is over the group engine's pair cap
+    ones = [1] * 13
+    query = json.dumps({"n": 2, "I": ones, "J": ones, "K": ones, "L": ones})
+    code, out, _ = run_cli(capsys, "mc", "--query", query,
+                           "--samples", "2000", "--seed", "42")
+    assert code == 0
+    assert json.loads(out)["exact"] == "1/14"
+
+
 def test_mc_refuses_bad_queries(capsys):
     for query in ('[1,2]', '{"kind":"sphere","n":3}',
-                  '{"kind":"sphere","exponents":5}', '{"kind":"cube"}'):
+                  '{"kind":"sphere","exponents":5}', '{"kind":"cube"}',
+                  '{"n":Infinity,"I":[1],"J":[1],"K":[1],"L":[1]}',
+                  '{"kind":"sphere","exponents":[2,0],"n":Infinity}'):
         code, out, err = run_cli(capsys, "mc", "--query", query,
                                  "--samples", "100")
         assert code == 2, query

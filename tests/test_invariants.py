@@ -1,4 +1,6 @@
-"""Closed forms from invariance arguments, their queries, and the matcher."""
+"""Closed forms from invariance arguments, their queries, the matcher, and
+the route choice."""
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -108,6 +110,24 @@ def test_x_integral_general_uses_engine():
     assert got == weingarten.evaluate(invariants.x_query(w), symbolic=True)
 
 
+def test_x_integral_routes_agree_with_engine():
+    # every balanced weight vector with entries <= 3 and 1 <= r+s+t+u <= 7
+    checks = 0
+    for w in itertools.product(range(4), repeat=8):
+        p = sum(w[:4])
+        if not 1 <= p <= 7 or not invariants.x_check_balance(w):
+            continue
+        q = invariants.x_query(w)
+        sym = invariants.x_integral(w, symbolic=True)
+        assert sym == weingarten.evaluate(q, symbolic=True), w
+        for n in range(max(sym.validity_min_n, max(q.I + q.J)), p + 2):
+            want = weingarten.moment_at(
+                canonicalize(invariants.x_query(w, n)), n)
+            assert invariants.x_integral(w, n=n) == want, (w, n)
+            checks += 1
+    assert checks == 1221
+
+
 def test_relations_all_hold():
     assert invariants.verify_relation("fan", (2, 1), False)
     assert invariants.verify_relation("fan", (2, 1), True)
@@ -193,3 +213,46 @@ def test_matcher_respects_transposed_catalog_entries():
     hit = invariants.match_closed_form(canonicalize(flipped))
     assert hit is not None
     assert hit[1] == invariants.degree3(key)
+
+
+def test_moment_labels_the_route():
+    cases = [
+        (invariants.fan_query((2, 1)), "invariant:fan"),
+        (invariants.z_query(1, 1, 1), "invariant:z"),
+        (invariants.e2_query(), "invariant:x4"),
+        (invariants.x_query(invariants.x_special_weights("x5", 1, 1), n=3),
+         "invariant:x5"),
+        (invariants.degree3_query("6b"), "invariant:6b"),
+        (MomentQuery.make(2, (1,), (1,), (2,), (1,)), "invariant:zero"),
+        (MomentQuery.make(2, (), (), (), ()), "invariant:normalization"),
+        (invariants.x_query((1, 1, 1, 1, 1, 1, 1, 1)), "group"),
+    ]
+    for q, label in cases:
+        for symbolic in (False, True):
+            value, got = invariants.moment(q, symbolic=symbolic)
+            assert got == label, (q, symbolic)
+            assert value == weingarten.evaluate(q, symbolic=symbolic), q
+            assert invariants.moment(q, "group", symbolic) == (value, "group")
+
+
+def test_moment_falls_back_below_the_closed_form_domain(monkeypatch):
+    # no catalog form is asserted above the number of distinct indices, so
+    # a narrowed copy of E(2) stands in for a form invalid at q.n
+    narrowed = invariants.exchange_e2().with_validity(3)
+    monkeypatch.setattr(invariants, "match_closed_form",
+                        lambda m: ("x4", narrowed))
+    q = invariants.e2_query(n=2)
+    assert invariants.moment(q) == (Fraction(-1, 6), "group")
+    assert invariants.moment(q, symbolic=True) == (narrowed, "invariant:x4")
+    with pytest.raises(ValueError, match="outside validity domain"):
+        invariants.moment(q, "invariant")
+
+
+def test_moment_refusals():
+    q = MomentQuery.make(4, (1, 2, 3, 4), (1, 2, 3, 4),
+                         (2, 3, 4, 1), (3, 4, 2, 1))
+    with pytest.raises(ValueError, match="no closed form; use method=group"):
+        invariants.moment(q, "invariant")
+    assert invariants.moment(q, "auto")[1] == "group"
+    with pytest.raises(ValueError, match="method must be one of"):
+        invariants.moment(q, "fast")

@@ -29,7 +29,8 @@ def test_from_json_obj_defaults_and_refusals():
     assert q == MomentQuery.make(3, (1, 3), (2, 1), (3, 1), (1, 2))
     assert MomentQuery.from_json_obj({}) == MomentQuery.make(1, (), (), (), ())
     for bad in ([1, 2], "q", None, {"I": 5}, {"J": [1, "2"]}, {"K": [1.0]},
-                {"L": [False]}, {"n": [2]}):
+                {"L": [False]}, {"n": [2]}, {"n": float("inf")}, {"n": 2.9},
+                {"n": True}, {"n": "3"}):
         with pytest.raises(ValueError):
             MomentQuery.from_json_obj(bad)
 

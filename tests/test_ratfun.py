@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from haarmoments.ratfun import Poly, RationalFunction, poly_gcd, rising
+from haarmoments.ratfun import Poly, RationalFunction, poly_gcd
 
 
 def test_poly_str_descending_powers():
@@ -41,11 +41,6 @@ def test_poly_gcd():
     b = Poly((0, 1, 1))            # n(n+1)
     g = poly_gcd(a, b)
     assert g == Poly((0, 1, 1)) or g == b
-
-
-def test_rising_factorial():
-    assert rising(0, 3) == Poly((0, 2, 3, 1))  # n(n+1)(n+2)
-    assert rising(0, 0) == Poly((1,))
 
 
 def test_ratfun_normalization_and_str():
