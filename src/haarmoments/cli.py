@@ -31,11 +31,6 @@ class UsageError(Exception):
     pass
 
 
-def _query_obj(q: MomentQuery) -> dict:
-    return {"n": q.n, "I": list(q.I), "J": list(q.J),
-            "K": list(q.K), "L": list(q.L)}
-
-
 def _parse_ints(text: str, what: str, minimum: int = 1) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -109,7 +104,7 @@ def _cmd_moment(args) -> int:
     q = MomentQuery.make(n, I, J, K, L)
     symbolic = args.symbolic or args.output == "symbolic"
     value, label = invariants.moment(q, args.method, symbolic)
-    _emit(value, args.output, query_json=_query_obj(q), method=label)
+    _emit(value, args.output, query_json=q.to_json_obj(), method=label)
     return 0
 
 
@@ -130,10 +125,13 @@ def _run_batch(args) -> int:
             try:
                 obj = json.loads(line)
                 q = MomentQuery.from_json_obj(obj)
-                symbolic = bool(obj.get("symbolic", False)) or args.symbolic
+                symbolic = obj.get("symbolic", False)
+                if not isinstance(symbolic, bool):
+                    raise ValueError("symbolic must be true or false")
+                symbolic = symbolic or args.symbolic
                 method = obj.get("method", args.method)
                 value, label = invariants.moment(q, method, symbolic)
-                print(json.dumps(_result_doc(value, _query_obj(q), label)))
+                print(json.dumps(_result_doc(value, q.to_json_obj(), label)))
             except (ValueError, ZeroDivisionError, KeyError) as e:
                 failures += 1
                 print(json.dumps({"error": str(e), "input": line}))

@@ -6,13 +6,23 @@ Stream contract (fixed per release).  The generator is Philox-4x64 keyed by
 ``seed``.  A batch drawing ``w`` uniforms per sample gives sample ``s`` the
 counter blocks [s*B, (s+1)*B) with B = ceil(w/4) (each block holds four
 64-bit words); the first ``w`` words of those blocks, in order, map to
-uniforms in (0, 1] via ((word >> 11) + 1) * 2**-53.  Haar samples use
-w = 2*n^2 (first n^2 words are moduli, last n^2 phases: z =
-sqrt(-ln u) * exp(2*pi*i*v) is a standard complex normal); sphere samples
-use w = 2*ceil(n/2) (Box-Muller cosine/sine pairs).  The Ginibre matrix is
-orthonormalized by QR with the diagonal of the triangular factor made real
-positive.  Chunk partial sums are combined in fixed chunk order, so an
-estimate is bit-identical for a given config regardless of thread count.
+uniforms in (0, 1] via ((word >> 11) + 1) * 2**-53.  A Haar sample of c
+columns of an n-by-n unitary uses w = 2*n*c: the first n*c words are
+moduli and the next n*c phases, z = sqrt(-ln u) * exp(2*pi*i*v) is a
+standard complex normal, and the n*c normals fill an n-by-c Ginibre block
+row by row.  The block is orthonormalized by QR with the diagonal of the
+triangular factor made real positive (Mezzadri, math-ph/0609050); the
+result is distributed as the first c columns of a Haar unitary, and c = n
+gives the whole matrix.  Sphere samples use w = 2*ceil(n/2) (Box-Muller
+cosine/sine pairs).
+
+A Haar estimate draws only the columns its query reads.  Right invariance
+lets the distinct columns be relabelled, in increasing order, to 1..c, and
+U^T is Haar too, so a query with fewer distinct rows than distinct columns
+is transposed first (I<->J, K<->L).  Thus c is the smaller of the query's
+distinct row and column counts (at least 1), never more than its degree.
+Chunk partial sums are combined in fixed chunk order, so an estimate is
+bit-identical for a given config regardless of thread count.
 """
 from __future__ import annotations
 
@@ -23,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .queries import MomentQuery
+from .queries import MomentQuery, canonicalize
 
 _INV_2_53 = 2.0 ** -53
 
@@ -79,11 +89,12 @@ def _uniform_block(seed: int, start_sample: int, count: int,
     return u[:, :per_sample]
 
 
-def _haar_from_uniforms(u: np.ndarray, count: int, n: int) -> np.ndarray:
-    nn = n * n
-    mod = np.sqrt(-np.log(u[:, :nn]))
-    arg = 2.0 * np.pi * u[:, nn:2 * nn]
-    z = (mod * np.exp(1j * arg)).reshape(count, n, n)
+def _haar_from_uniforms(u: np.ndarray, count: int, n: int,
+                        c: int) -> np.ndarray:
+    nc = n * c
+    mod = np.sqrt(-np.log(u[:, :nc]))
+    arg = 2.0 * np.pi * u[:, nc:2 * nc]
+    z = (mod * np.exp(1j * arg)).reshape(count, n, c)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]
@@ -97,10 +108,15 @@ def _sphere_from_uniforms(u: np.ndarray, count: int, n: int) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def haar_batch(n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
-    """``count`` Haar-distributed n-by-n unitaries, samples start..start+count."""
-    u = _uniform_block(seed, start, count, 2 * n * n)
-    return _haar_from_uniforms(u, count, n)
+def haar_batch(n: int, count: int, seed: int, start: int = 0,
+               cols: int | None = None) -> np.ndarray:
+    """The first ``cols`` columns (default all n) of ``count`` Haar-random
+    n-by-n unitaries, samples start..start+count, shape (count, n, cols)."""
+    c = n if cols is None else cols
+    if not 1 <= c <= n:
+        raise ValueError("cols must be between 1 and n")
+    u = _uniform_block(seed, start, count, 2 * n * c)
+    return _haar_from_uniforms(u, count, n, c)
 
 
 def sphere_batch(n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
@@ -145,17 +161,26 @@ def _accumulate(cfg: SamplerConfig, values_for_range) -> Estimate:
 
 
 def estimate_moment(q: MomentQuery, cfg: SamplerConfig) -> Estimate:
-    """Sample mean of prod conj(U)_{I_a J_a} * prod U_{K_b L_b}."""
+    """Sample mean of prod conj(U)_{I_a J_a} * prod U_{K_b L_b}, drawing
+    only the columns the query reads (see the module docstring)."""
     if q.n != cfg.n:
         raise ValueError("query dimension differs from sampler dimension")
+    # validate as the exact routes do: relabelling the columns below would
+    # otherwise hide a column index outside 1..n
+    canonicalize(q)
+    I, J, K, L = q.I, q.J, q.K, q.L
+    if len(set(I + K)) < len(set(J + L)):
+        I, J, K, L = J, I, L, K
+    col = {j: c for c, j in enumerate(sorted(set(J + L)))}
 
     def values(lo, hi):
-        u = haar_batch(cfg.n, hi - lo, cfg.seed, start=lo)
+        u = haar_batch(cfg.n, hi - lo, cfg.seed, start=lo,
+                       cols=max(len(col), 1))
         vals = np.ones(hi - lo, dtype=np.complex128)
-        for i, j in zip(q.I, q.J):
-            vals = vals * np.conj(u[:, i - 1, j - 1])
-        for k, l in zip(q.K, q.L):
-            vals = vals * u[:, k - 1, l - 1]
+        for i, j in zip(I, J):
+            vals = vals * np.conj(u[:, i - 1, col[j]])
+        for k, l in zip(K, L):
+            vals = vals * u[:, k - 1, col[l]]
         return vals
 
     return _accumulate(cfg, values)

@@ -39,11 +39,12 @@ class MomentQuery:
              K: Sequence[int], L: Sequence[int]) -> "MomentQuery":
         return cls(n, tuple(I), tuple(J), tuple(K), tuple(L))
 
+    def to_json_obj(self) -> dict:
+        return {"n": self.n, "I": list(self.I), "J": list(self.J),
+                "K": list(self.K), "L": list(self.L)}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "I": list(self.I), "J": list(self.J),
-             "K": list(self.K), "L": list(self.L)}
-        )
+        return json.dumps(self.to_json_obj())
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MomentQuery":

@@ -121,6 +121,8 @@ def test_batch_mode_reports_bad_lines(tmp_path, capsys):
         '{"n": 2.9, "I": [1], "J": [1], "K": [1], "L": [1]}',
         '{"n": true, "I": [1], "J": [1], "K": [1], "L": [1]}',
         '{"n": "3", "I": [1], "J": [1], "K": [1], "L": [1]}',
+        '{"I": [1], "J": [2], "K": [1], "L": [2], "symbolic": "false"}',
+        '{"I": [1], "J": [2], "K": [1], "L": [2], "symbolic": 1}',
         '{"I": [1], "J": [2], "K": [1], "L": [2], "method": "nope"}',
     ]
     path = tmp_path / "queries.jsonl"
@@ -133,6 +135,8 @@ def test_batch_mode_reports_bad_lines(tmp_path, capsys):
         assert err_doc["input"] == line and "error" in err_doc
         assert good_doc["value"]["rational"] == "1/3"
     assert "method must be one of" in docs[-2]["error"]
+    assert docs[-6]["error"] == docs[-4]["error"] == \
+        "symbolic must be true or false"
 
 
 def test_batch_mode_reads_stdin(capsys, monkeypatch):

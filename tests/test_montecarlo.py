@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from haarmoments.invariants import moment
 from haarmoments.montecarlo import (SamplerConfig, _uniform_block,
                                     estimate_moment, estimate_sphere_moment,
                                     haar_batch, mc_tolerance, sphere_batch)
@@ -118,3 +119,72 @@ def test_estimator_validates_dimensions():
         estimate_moment(q, SamplerConfig(n=2, samples=100, seed=1))
     with pytest.raises(ValueError):
         estimate_sphere_moment((2, 0), SamplerConfig(n=3, samples=100, seed=1))
+
+
+# ---------------------------------------------------------------------------
+# column sampler: a Haar estimate draws only the columns its query reads
+
+def test_haar_batch_columns_orthonormal_and_counter_addressable():
+    for n, c in ((1, 1), (3, 1), (4, 2), (6, 3), (10, 3), (5, 5)):
+        us = haar_batch(n, 12, seed=19, cols=c)
+        assert us.shape == (12, n, c)
+        eye = np.eye(c)
+        for u in us:
+            assert np.max(np.abs(u.conj().T @ u - eye)) < 1e-12
+        head = haar_batch(n, 5, seed=19, start=0, cols=c)
+        tail = haar_batch(n, 7, seed=19, start=5, cols=c)
+        assert np.array_equal(us, np.vstack([head, tail]))
+
+
+def test_haar_batch_all_columns_is_the_default():
+    assert np.array_equal(haar_batch(4, 6, seed=3, start=2),
+                          haar_batch(4, 6, seed=3, start=2, cols=4))
+
+
+def test_haar_batch_rejects_bad_column_count():
+    for c in (0, 4):
+        with pytest.raises(ValueError):
+            haar_batch(3, 2, seed=1, cols=c)
+
+
+def _same(a, b):
+    return a.mean == b.mean and a.stderr == b.stderr
+
+
+def test_estimate_unchanged_by_column_relabelling():
+    # columns are relabelled 1..c in increasing order, so any permutation
+    # of 1..n that keeps the order of the used columns gives the same draw
+    # (three rows, two columns: the query is not transposed)
+    q = MomentQuery.make(5, (1, 3, 2), (2, 4, 4), (3, 1, 2), (4, 2, 4))
+    sigma = {1: 2, 2: 3, 3: 1, 4: 5, 5: 4}
+    moved = MomentQuery.make(5, q.I, [sigma[j] for j in q.J], q.K,
+                             [sigma[l] for l in q.L])
+    cfg = SamplerConfig(n=5, samples=3000, seed=8, chunk=1000)
+    assert _same(estimate_moment(q, cfg), estimate_moment(moved, cfg))
+
+
+def test_estimate_unchanged_by_transposition():
+    # two rows, three columns: both presentations sample two columns
+    q = MomentQuery.make(4, (1, 2, 1), (1, 2, 3), (2, 1, 1), (1, 3, 2))
+    t = MomentQuery.make(4, q.J, q.I, q.L, q.K)
+    cfg = SamplerConfig(n=4, samples=3000, seed=13, chunk=1000)
+    assert _same(estimate_moment(q, cfg), estimate_moment(t, cfg))
+
+
+def test_two_column_estimate_matches_exact_value():
+    q = MomentQuery.make(10, (3, 7), (2, 9), (3, 7), (9, 2))
+    exact = moment(q)[0]
+    assert exact != 0
+    est = estimate_moment(q, SamplerConfig(n=10, samples=40000, seed=29))
+    tol = mc_tolerance(est)
+    assert abs(est.mean.real - float(exact)) < tol
+    assert abs(est.mean.imag) < tol
+
+
+def test_estimator_rejects_indices_outside_dimension():
+    cfg = SamplerConfig(n=3, samples=100, seed=1)
+    for q in (MomentQuery.make(3, (1,), (4,), (1,), (4,)),
+              MomentQuery.make(3, (0,), (1,), (0,), (1,)),
+              MomentQuery.make(3, (1, 2), (1,), (1,), (1,))):
+        with pytest.raises(ValueError):
+            estimate_moment(q, cfg)
