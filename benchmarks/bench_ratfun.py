@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Timing of the rational-function layer: cold construction of reduced
+closed forms, and the symbolic fold of class counts.
+
+Two kinds of case:
+
+* ``catalog``: every closed form of degree p <= 5 that the matcher can
+  answer with (fans, z integrals, x4/x5 loops, the seven degree-3 values),
+  each built once.  These are the forms the batch-light corpus uses.
+* ``fold p=7`` .. ``fold p=11``: ``weingarten._fold_symbolic`` over the
+  class counts of the batch-symbolic corpus queries of that degree (the
+  counts are computed first, untimed).  The fold sums the numerator over
+  the common denominator (p!)^2 D_p(n) and reduces it.
+
+Each case runs cold in a fresh interpreter, ``--repeat`` times, so no cache
+filled by an earlier case or run is reused.  The results go to a JSON file
+under a label, one entry per label, so that runs of two commits can share
+one file; a digest of every result's (str, validity_min_n) is stored too,
+so the entries can be checked for equal results.
+
+Usage (from the repository root):
+  PYTHONPATH=src python3 benchmarks/bench_ratfun.py --label NAME
+      [--repeat N] [--out BENCH_ratfun.json]
+"""
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_SEED = 3
+CASES = ["catalog"] + [f"fold p={p}" for p in range(7, 12)]
+
+
+def catalog_calls() -> list:
+    """(function name, args) of every closed form of degree p <= 5."""
+    from haarmoments.invariants import DEGREE3_KEYS
+    from haarmoments.partitions import partitions_of
+
+    calls = [("fan", (ms,)) for p in range(1, 6) for ms in partitions_of(p)]
+    calls += [("z_integral", (a, b, c)) for a in range(6) for b in range(6)
+              for c in range(6) if 1 <= a + b + c <= 5]
+    calls += [("x_special", ("x4", t, u)) for t in range(1, 5)
+              for u in range(0, 5 - t)]
+    calls += [("x_special", ("x5", t, u)) for t in range(0, 4)
+              for u in range(1, 5 - t)]
+    calls += [("degree3", (key,)) for key in DEGREE3_KEYS]
+    return calls
+
+
+def fold_inputs(p: int) -> list:
+    """Class counts of the batch-symbolic corpus queries of degree p."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import corpus
+    from haarmoments import weingarten
+    from haarmoments.queries import (MomentQuery, canonicalize, orient,
+                                     relabel)
+
+    out = []
+    for obj in corpus.symbolic(CORPUS_SEED).exact[1:]:
+        q = MomentQuery.from_json_obj(
+            {k: v for k, v in obj.items() if k in "nIJKL"})
+        m = orient(relabel(canonicalize(q)))
+        if m.p == p:
+            out.append(weingarten.class_counts(m.I, m.J, m.Q))
+    return out
+
+
+def run_case(name: str) -> dict:
+    """Time one case cold; runs in the child process."""
+    from haarmoments import invariants, weingarten
+
+    if name == "catalog":
+        calls = [(getattr(invariants, fn), args) for fn, args in
+                 catalog_calls()]
+        start = time.perf_counter()
+        results = [fn(*args) for fn, args in calls]
+        seconds = time.perf_counter() - start
+    else:
+        p = int(name.split("=")[1])
+        counts = fold_inputs(p)
+        start = time.perf_counter()
+        results = [weingarten._fold_symbolic(c, p) for c in counts]
+        seconds = time.perf_counter() - start
+    digest = hashlib.sha256(json.dumps(
+        [[str(rf), rf.validity_min_n] for rf in results]).encode())
+    return {"seconds": seconds, "results": len(results),
+            "results_sha256": digest.hexdigest()[:16]}
+
+
+def child(name: str) -> dict:
+    out = subprocess.run([sys.executable, __file__, "--case", name],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", default="current",
+                    help="name of this run's entry in the output file")
+    ap.add_argument("--repeat", type=int, default=7)
+    ap.add_argument("--out", default=str(ROOT / "BENCH_ratfun.json"))
+    ap.add_argument("--case", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.case is not None:
+        print(json.dumps(run_case(args.case)))
+        return
+
+    cases = []
+    for name in CASES:
+        runs = [child(name) for _ in range(args.repeat)]
+        if any(r["results_sha256"] != runs[0]["results_sha256"]
+               for r in runs):
+            sys.exit(f"results differ between runs of {name}")
+        seconds = [r["seconds"] for r in runs]
+        cases.append({
+            "case": name, "results": runs[0]["results"],
+            "median_s": statistics.median(seconds), "seconds": seconds,
+            "results_sha256": runs[0]["results_sha256"],
+        })
+        print(f"{name:<10} {runs[0]['results']:>4} results "
+              f"{statistics.median(seconds) * 1e3:9.2f} ms")
+
+    path = Path(args.out)
+    doc = json.loads(path.read_text()) if path.exists() else {
+        "what": "cold construction of the closed forms of degree <= 5 and "
+                "cold _fold_symbolic over the batch-symbolic corpus (seed "
+                f"{CORPUS_SEED}) class counts, one fresh process per run",
+        "runs": {}}
+    doc["runs"][args.label] = {
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
+                 "python": platform.python_version()},
+        "repeat": args.repeat,
+        "cases": cases,
+    }
+    # one line per list of numbers
+    text = re.sub(r"\[\s+([^][{}]*?)\s+\]",
+                  lambda m: "[" + " ".join(m.group(1).split()) + "]",
+                  json.dumps(doc, indent=1))
+    path.write_text(text + "\n")
+
+
+if __name__ == "__main__":
+    main()

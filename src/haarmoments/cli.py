@@ -109,12 +109,17 @@ def _cmd_moment(args) -> int:
 
 
 def _run_batch(args) -> int:
+    # A byte that does not decode is read as a surrogate escape, and only
+    # the line holding it fails.
     failures = 0
     if args.batch == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
         opened = contextlib.nullcontext(sys.stdin)
     else:
         try:
-            opened = open(args.batch, "r", encoding="utf-8")
+            opened = open(args.batch, "r", encoding="utf-8",
+                          errors="surrogateescape")
         except OSError as e:
             raise UsageError(f"cannot read batch file: {e}") from e
     with opened as fh:
@@ -123,6 +128,8 @@ def _run_batch(args) -> int:
             if not line:
                 continue
             try:
+                if not line.isascii() and _shown(line) != line:
+                    raise ValueError("line does not decode as text")
                 obj = json.loads(line)
                 q = MomentQuery.from_json_obj(obj)
                 symbolic = obj.get("symbolic", False)
@@ -132,10 +139,16 @@ def _run_batch(args) -> int:
                 method = obj.get("method", args.method)
                 value, label = invariants.moment(q, method, symbolic)
                 print(json.dumps(_result_doc(value, q.to_json_obj(), label)))
-            except (ValueError, ZeroDivisionError, KeyError) as e:
+            except (ValueError, ZeroDivisionError, KeyError,
+                    RecursionError) as e:
                 failures += 1
-                print(json.dumps({"error": str(e), "input": line}))
+                print(json.dumps({"error": str(e), "input": _shown(line)}))
     return 1 if failures else 0
+
+
+def _shown(line: str) -> str:
+    """The line with each byte that did not decode shown as U+FFFD."""
+    return line.encode("utf-8", "surrogateescape").decode("utf-8", "replace")
 
 
 # ---------------------------------------------------------------------------

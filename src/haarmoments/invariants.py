@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from typing import Sequence
 
@@ -32,14 +33,10 @@ from .ratfun import Poly, RationalFunction
 XWeights = tuple[int, int, int, int, int, int, int, int]
 
 
-def _ratio(num_const: int, num_shifts: Sequence[int],
-           den_const: int, den_shifts: Sequence[int],
-           validity: int) -> RationalFunction:
-    num = Poly.const(num_const)
-    for k in num_shifts:
-        num = num * Poly.n_plus(k)
-    den = Poly.const(den_const)
-    for k in den_shifts:
+def _ratio(num: Poly, shifts, validity: int) -> RationalFunction:
+    """num / prod(n + k for k in shifts)."""
+    den = Poly((1,))
+    for k in shifts:
         den = den * Poly.n_plus(k)
     return RationalFunction(num, den, validity)
 
@@ -47,17 +44,17 @@ def _ratio(num_const: int, num_shifts: Sequence[int],
 # ---------------------------------------------------------------------------
 # fans
 
-def fan(ms: Sequence[int]) -> RationalFunction:
+@lru_cache(maxsize=4096)
+def fan(ms: tuple[int, ...]) -> RationalFunction:
     """Moment of a one-row monomial whose columns repeat with multiplicities
     ms: product(m_i!) / ((n)(n+1)...(n+p-1)), p = sum(ms)."""
-    ms = tuple(ms)
     if not ms or any(m < 1 for m in ms):
         raise ValueError("multiplicities must be positive (drop absent lines)")
     p = sum(ms)
     num = 1
     for m in ms:
         num *= factorial(m)
-    return _ratio(num, (), 1, range(p), 1)
+    return _ratio(Poly.const(num), range(p), 1)
 
 
 def fan_query(ms: Sequence[int], n: int | None = None,
@@ -81,21 +78,23 @@ def fan_query(ms: Sequence[int], n: int | None = None,
 # ---------------------------------------------------------------------------
 # z integrals
 
+@lru_cache(maxsize=4096)
 def z_integral(m1: int, m2: int, m3: int) -> RationalFunction:
     """Two rows i, j with edges i-a (m1), j-a (m2), j-b (m3).
 
     m1! m2! m3! (n-2)! (n-1)! (n+m1+m3-2)!
     / ((n+m1-2)! (n+m3-2)! (n+m1+m2+m3-1)!),
-    written as a product of linear factors.  Degenerate multiplicities reduce
-    to fans, which the same expression already covers.
+    written as a product of linear factors: the numerator's n+m1-1 ..
+    n+m1+m3-2 cancel against factors of the denominator.  Degenerate multiplicities reduce to fans, which the same
+    expression already covers.
     """
     if min(m1, m2, m3) < 0:
         raise ValueError("multiplicities must be non-negative")
     p = m1 + m2 + m3
-    num_c = factorial(m1) * factorial(m2) * factorial(m3)
-    num_shifts = [m1 - 1 + j for j in range(m3)]
-    den_shifts = [j - 1 for j in range(m3)] + list(range(p))
-    return _ratio(num_c, num_shifts, 1, den_shifts, 2)
+    shifts = Counter(j - 1 for j in range(m3)) + Counter(range(p))
+    shifts -= Counter(m1 - 1 + j for j in range(m3))
+    num = factorial(m1) * factorial(m2) * factorial(m3)
+    return _ratio(Poly.const(num), shifts.elements(), 2)
 
 
 def z_query(m1: int, m2: int, m3: int, n: int | None = None) -> MomentQuery:
@@ -114,7 +113,7 @@ def exchange_e2() -> RationalFunction:
     Internally confirms that the two derivation routes (column rotation and
     unitarity sum) reduce to the same function before returning it.
     """
-    out = _ratio(-1, (), 1, (-1, 0, 1), 2)
+    out = _ratio(Poly.const(-1), (-1, 0, 1), 2)
     if not (out == exchange_e2_by_rotation() == exchange_e2_by_unitarity()):
         raise AssertionError("exchange-moment routes disagree")
     return out
@@ -140,14 +139,14 @@ def e2_query(n: int | None = None) -> MomentQuery:
 # degree-3 catalog
 
 _D3_FORMS: dict[str, tuple] = {
-    # key: (num_const, num_poly_or_None, den_shifts, validity)
-    "6a": (1, None, (-1, 0, 2), 3),
-    "6b": (1, Poly((-2, 0, 1)), (-2, -1, 0, 1, 2), 3),  # (n^2-2)/...
-    "6c": (-2, None, (-1, 0, 1, 2), 2),
-    "6d": (-2, None, (-1, 0, 1, 2), 2),
-    "6e": (-1, None, (-1, 0, 1, 2), 3),
-    "6f": (-1, None, (-2, -1, 1, 2), 3),
-    "6g": (2, None, (-2, -1, 0, 1, 2), 3),
+    # key: (numerator, den_shifts, validity)
+    "6a": (Poly((1,)), (-1, 0, 2), 3),
+    "6b": (Poly((-2, 0, 1)), (-2, -1, 0, 1, 2), 3),  # (n^2-2)/...
+    "6c": (Poly((-2,)), (-1, 0, 1, 2), 2),
+    "6d": (Poly((-2,)), (-1, 0, 1, 2), 2),
+    "6e": (Poly((-1,)), (-1, 0, 1, 2), 3),
+    "6f": (Poly((-1,)), (-2, -1, 1, 2), 3),
+    "6g": (Poly((2,)), (-2, -1, 0, 1, 2), 3),
 }
 
 _D3_QUERIES: dict[str, tuple] = {
@@ -163,16 +162,14 @@ _D3_QUERIES: dict[str, tuple] = {
 DEGREE3_KEYS = tuple(sorted(_D3_FORMS))
 
 
+@lru_cache(maxsize=None)
 def degree3(key: str) -> RationalFunction:
     """One of the seven degree-3 closed forms, keyed 6a..6g."""
     try:
-        num_c, num_poly, den_shifts, validity = _D3_FORMS[key]
+        num, den_shifts, validity = _D3_FORMS[key]
     except KeyError:
         raise ValueError(f"unknown degree-3 integral {key!r}") from None
-    out = _ratio(num_c, (), 1, den_shifts, validity)
-    if num_poly is not None:
-        out = (out * RationalFunction(num_poly, Poly((1,)))).with_validity(validity)
-    return out
+    return _ratio(num, den_shifts, validity)
 
 
 def degree3_query(key: str, n: int | None = None) -> MomentQuery:
@@ -205,6 +202,7 @@ def x_check_balance(weights: Sequence[int]) -> bool:
     return (r + s == rp + sp) and (t + u == tp + up) and (s + t == sp + tp)
 
 
+@lru_cache(maxsize=4096)
 def x_special(variant: str, t: int, u: int) -> RationalFunction:
     """Closed forms for the two one-step exchange loops.
 
@@ -223,7 +221,7 @@ def x_special(variant: str, t: int, u: int) -> RationalFunction:
         num = -factorial(t + 1) * factorial(u)
     else:
         raise ValueError(f"unknown x variant {variant!r}")
-    return _ratio(num, (), 1, range(-1, t + u + 1), 2)
+    return _ratio(Poly.const(num), range(-1, t + u + 1), 2)
 
 
 def x_special_weights(variant: str, t: int, u: int) -> XWeights:
@@ -426,10 +424,10 @@ def verify_relation(name: str, *args, **kwargs) -> bool:
 def _match_direct(w: Counter, rows, cols):
     if len(rows) == 1:
         ms = sorted((w[(rows[0], c)] for c in cols), reverse=True)
-        return ("fan", fan(ms))
+        return ("fan", fan(tuple(ms)))
     if len(cols) == 1:
         ms = sorted((w[(r, cols[0])] for r in rows), reverse=True)
-        return ("fan", fan(ms))
+        return ("fan", fan(tuple(ms)))
     if len(rows) == 2 and len(cols) == 2:
         r1, r2 = rows
         c1, c2 = cols

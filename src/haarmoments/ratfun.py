@@ -2,18 +2,27 @@
 matrix dimension and reduced ratios of them.
 
 Every symbolic value in this package is a ratio of two integer-coefficient
-polynomials in a single symbol ``n`` (the matrix dimension), held in a unique
-reduced form: the polynomial gcd is cancelled, the numerator and denominator
-share no integer content, and the denominator's leading coefficient is
-positive.  A ratio also carries ``validity_min_n``, the smallest integer n at
-which the expression is asserted to equal the quantity it stands for —
-denominators arising from group sums vanish at small n, so evaluation below
-the floor is refused rather than silently wrong.
+polynomials in a single symbol ``n`` (the matrix dimension) whose
+denominator splits into integer linear factors, c * prod(n + k).  This holds
+for every closed form and for the group engine's common denominator
+(p!)^2 * prod(n + content), the Jucys–Murphy factorization of the Weingarten
+function.  A ratio is held in a unique reduced form: each factor n + k of the
+denominator that also divides the numerator is cancelled by synthetic
+division (any common factor of the two must be one of them, so the result is
+in lowest terms), the numerator and denominator share no integer content,
+and the denominator's leading coefficient is positive.  A denominator with a
+root that is not an integer is refused with ValueError.
+
+A ratio also carries ``validity_min_n``, the smallest integer n at which the
+expression is asserted to equal the quantity it stands for — denominators
+arising from group sums vanish at small n, so evaluation below the floor is
+refused rather than silently wrong.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -46,22 +55,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def lead(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
-
-    def primitive(self) -> "Poly":
-        g = self.content()
-        if g in (0, 1):
-            return self
-        return Poly(c // g for c in self.coeffs)
-
     @staticmethod
     def _as_poly(other) -> "Poly":
         if isinstance(other, Poly):
@@ -88,23 +81,15 @@ class Poly:
         return Poly(-c for c in self.coeffs)
 
     def __sub__(self, other) -> "Poly":
-        other = Poly._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other) -> "Poly":
-        other = Poly._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "Poly":
         other = Poly._as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -113,9 +98,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def scale(self, k: int) -> "Poly":
-        return Poly(k * c for c in self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -128,28 +110,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * n + c
         return acc
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        """Exact polynomial division; raises if ``other`` does not divide."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlead = other.lead
-        ddeg = other.degree
-        out = [0] * max(len(rem) - ddeg, 0)
-        for k in range(len(rem) - 1, ddeg - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            q, r = divmod(c, dlead)
-            if r:
-                raise ValueError("inexact polynomial division")
-            out[k - ddeg] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k - ddeg + j] -= q * b
-        if any(rem[:ddeg]):
-            raise ValueError("inexact polynomial division")
-        return Poly(out)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -176,25 +136,65 @@ class Poly:
         return f"Poly({self})"
 
 
-def _pseudo_rem(a: Poly, b: Poly) -> Poly:
-    """Remainder of a by b after scaling a to keep coefficients integral."""
-    r = a
-    while not r.is_zero() and r.degree >= b.degree:
-        shift = r.degree - b.degree
-        lead_r, lead_b = r.lead, b.lead
-        g = gcd(lead_r, lead_b)
-        r = r.scale(lead_b // g) - (b * Poly([0] * shift + [lead_r // g]))
-    return r
+def _divide_linear(coeffs: list[int], k: int) -> tuple[list[int], int]:
+    """Quotient coefficients and remainder of sum coeffs[i] n^i by n + k."""
+    out = []
+    acc = 0
+    for c in reversed(coeffs):
+        acc = c - k * acc
+        out.append(acc)
+    rem = out.pop()
+    out.reverse()
+    return out, rem
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Primitive gcd with positive leading coefficient."""
-    a, b = a.primitive(), b.primitive()
-    while not b.is_zero():
-        a, b = b, _pseudo_rem(a, b).primitive()
-    if a.is_zero():
-        return Poly((1,))
-    return a if a.lead > 0 else -a
+def _linear_factors(den: Poly) -> tuple[int, list[int]]:
+    """Split a nonzero den as c * prod(n + k): return c and the shifts k.
+
+    After the factors of n are taken out, each other shift k divides the
+    trailing coefficient, and k^2 is at most the sum of the squares of all
+    shifts, (sum k)^2 - 2 e_2, read off the top three coefficients.  The
+    candidates are tried in that range; ValueError if some root of den is
+    not an integer.
+    """
+    cs = list(den.coeffs)
+    zeros = next(i for i, c in enumerate(cs) if c)
+    shifts, cs = [0] * zeros, cs[zeros:]
+    if len(cs) > 1:
+        lead = cs[-1]
+        s1, r1 = divmod(cs[-2], lead)
+        s2, r2 = divmod(cs[-3], lead) if len(cs) > 2 else (0, 0)
+        if not r1 and not r2 and s1 * s1 >= 2 * s2:
+            for a in range(1, isqrt(s1 * s1 - 2 * s2) + 1):
+                for k in (a, -a):
+                    while len(cs) > 1 and cs[0] % k == 0:
+                        q, r = _divide_linear(cs, k)
+                        if r:
+                            break
+                        cs = q
+                        shifts.append(k)
+        if len(cs) > 1:
+            raise ValueError(f"denominator {den} does not split into "
+                             "integer linear factors n + k")
+    return cs[0], shifts
+
+
+def _reduced(num: Poly, const: int, shifts: Iterable[int]) -> tuple[Poly, Poly]:
+    """num / (const * prod(n + k)) in lowest terms, denominator positive."""
+    cs = list(num.coeffs)
+    left = []
+    for k, m in Counter(shifts).items():
+        while m and len(cs) > 1:
+            q, r = _divide_linear(cs, k)
+            if r:
+                break
+            cs, m = q, m - 1
+        left += [k] * m
+    g = gcd(const, *cs) if const > 0 else -gcd(const, *cs)
+    den = [const // g]
+    for k in left:
+        den = [a + k * b for a, b in zip([0] + den, den + [0])]
+    return Poly(c // g for c in cs), Poly(den)
 
 
 class RationalFunction:
@@ -206,20 +206,8 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            num, den = Poly(()), Poly((1,))
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0 or g.lead != 1:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            k = gcd(num.content(), den.content())
-            if k > 1:
-                num = Poly(c // k for c in num.coeffs)
-                den = Poly(c // k for c in den.coeffs)
-            if den.lead < 0:
-                num, den = -num, -den
-        self.num = num
-        self.den = den
+            den = Poly((1,))
+        self.num, self.den = _reduced(num, *_linear_factors(den))
         self.validity_min_n = validity_min_n
 
     @classmethod
@@ -288,14 +276,6 @@ class RationalFunction:
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
-
-    def __pow__(self, k: int) -> "RationalFunction":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = RationalFunction.one()
-        for _ in range(k):
-            out = out * self
-        return out.with_validity(self.validity_min_n)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):

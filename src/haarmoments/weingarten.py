@@ -17,7 +17,8 @@ Symbolically, (p!)^2 dbar_f = d_f p! P_f(n) where P_f(n) = prod (n + content)
 over the cells of f, so every term shares the denominator (p!)^2 D_p(n) with
 D_p the lcm of the P_f.  The counts are first folded into one weight per shape,
 w_f = sum_c N(c) chi_f(c); the numerator sum_f w_f d_f p! D_p/P_f is then
-summed in integers over that denominator and reduced once.
+summed in integers over that denominator and reduced once, by synthetic
+division with the linear factors n + content of D_p.
 
 At fixed n, P_f(n) is an integer, zero exactly when f has more than n rows,
 and the term is chi_f(c) d_f / (p! P_f(n)).  xi_p(c) is the integer sum

@@ -108,6 +108,8 @@ def test_batch_mode(tmp_path, capsys):
 def test_batch_mode_reports_bad_lines(tmp_path, capsys):
     good = '{"n": 3, "I": [1], "J": [2], "K": [1], "L": [2]}'
     bad = [
+        "[" * 100_000,   # nested too deeply for the JSON decoder
+        '{"n": 3, "I": [1], "J": [2], "K": [1], "L": [2], "x": "\xff"}',
         '{"n": 2, "I": [9], "J": [1], "K": [9], "L": [1]}',
         '{"n": 2, "I": 5, "J": [1], "K": [1], "L": [1]}',
         '[1, 2]',
@@ -125,15 +127,22 @@ def test_batch_mode_reports_bad_lines(tmp_path, capsys):
         '{"I": [1], "J": [2], "K": [1], "L": [2], "symbolic": 1}',
         '{"I": [1], "J": [2], "K": [1], "L": [2], "method": "nope"}',
     ]
+    # the second line's \xff is written as one byte, which is not UTF-8
+    raw = [line.encode("latin-1") for line in bad]
     path = tmp_path / "queries.jsonl"
-    path.write_text("".join(f"{line}\n{good}\n" for line in bad))
+    path.write_bytes(b"".join(line + b"\n" + good.encode() + b"\n"
+                              for line in raw))
     code, out, _ = run_cli(capsys, "moment", "--batch", str(path))
     assert code == 1
     docs = [json.loads(line) for line in out.splitlines()]
     assert len(docs) == 2 * len(bad)
-    for line, err_doc, good_doc in zip(bad, docs[::2], docs[1::2]):
-        assert err_doc["input"] == line and "error" in err_doc
+    for line, err_doc, good_doc in zip(raw, docs[::2], docs[1::2]):
+        assert err_doc["input"] == line.decode("utf-8", "replace")
+        assert "error" in err_doc
         assert good_doc["value"]["rational"] == "1/3"
+    assert "recursion" in docs[0]["error"]
+    assert docs[2]["error"] == "line does not decode as text"
+    assert "\ufffd" in docs[2]["input"]
     assert "method must be one of" in docs[-2]["error"]
     assert docs[-6]["error"] == docs[-4]["error"] == \
         "symbolic must be true or false"
@@ -147,6 +156,15 @@ def test_batch_mode_reads_stdin(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "moment", "--batch", "-")
     assert code == 0
     assert json.loads(out)["value"]["rational"] == "1/3"
+    # a byte that is not UTF-8 fails its own line only
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(
+        b'\xff\n{"n": 3, "I": [1], "J": [2], "K": [1], "L": [2]}\n'),
+        encoding="utf-8"))
+    code, out, _ = run_cli(capsys, "moment", "--batch", "-")
+    assert code == 1
+    bad, good = (json.loads(line) for line in out.splitlines())
+    assert bad == {"error": "line does not decode as text", "input": "\ufffd"}
+    assert good["value"]["rational"] == "1/3"
 
 
 def test_batch_mode_missing_file(capsys):

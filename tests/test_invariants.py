@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haarmoments import invariants, weingarten
 from haarmoments.queries import MomentQuery, canonicalize
@@ -256,3 +258,57 @@ def test_moment_refusals():
     assert invariants.moment(q, "auto")[1] == "group"
     with pytest.raises(ValueError, match="method must be one of"):
         invariants.moment(q, "fast")
+
+
+@st.composite
+def _catalog_presentations(draw):
+    """A fan, z, x4/x5 or degree-3 query with p <= 5, its rows and columns
+    relabeled injectively into 1..p+1, its factors reordered, and half the
+    time transposed."""
+    family = draw(st.sampled_from(("fan", "z", "x4", "x5", "degree3")))
+    if family == "fan":
+        ms = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)
+                  .filter(lambda ms: sum(ms) <= 5))
+        q = invariants.fan_query(ms)
+    elif family == "z":
+        ms = draw(st.tuples(*[st.integers(0, 5)] * 3)
+                  .filter(lambda ms: 1 <= sum(ms) <= 5))
+        q = invariants.z_query(*ms)
+    elif family in ("x4", "x5"):
+        lo = 1 if family == "x4" else 0
+        t = draw(st.integers(lo, 3 + lo))
+        u = draw(st.integers(1 - lo, 4 - t))
+        q = invariants.x_query(invariants.x_special_weights(family, t, u))
+    else:
+        q = invariants.degree3_query(
+            draw(st.sampled_from(invariants.DEGREE3_KEYS)))
+    p = len(q.I)
+    rows = sorted(set(q.I) | set(q.K))
+    cols = sorted(set(q.J) | set(q.L))
+    rmap = dict(zip(rows, draw(st.permutations(range(1, p + 2)))))
+    cmap = dict(zip(cols, draw(st.permutations(range(1, p + 2)))))
+    conj = [(rmap[i], cmap[j]) for i, j in zip(q.I, q.J)]
+    plain = [(rmap[k], cmap[l]) for k, l in zip(q.K, q.L)]
+    if draw(st.booleans()):
+        conj = [(j, i) for i, j in conj]
+        plain = [(l, k) for k, l in plain]
+    conj = draw(st.permutations(conj))
+    plain = draw(st.permutations(plain))
+    I, J = zip(*conj)
+    K, L = zip(*plain)
+    return MomentQuery.make(max(I + J), I, J, K, L)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_catalog_presentations())
+def test_closed_form_hits_match_group_engine(q):
+    hit = invariants.match_closed_form(canonicalize(q))
+    if hit is None:
+        return
+    rf = hit[1]
+    group = weingarten.evaluate(q, symbolic=True)
+    assert (rf.num, rf.den) == (group.num, group.den), hit[0]
+    p = len(q.I)
+    for n in range(max(rf.validity_min_n, q.n), p + 2):
+        fixed = weingarten.evaluate(MomentQuery.make(n, q.I, q.J, q.K, q.L))
+        assert rf.eval_at(n) == fixed, (hit[0], n)

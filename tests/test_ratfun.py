@@ -1,9 +1,18 @@
 """Exact polynomial and rational-function arithmetic."""
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from haarmoments.ratfun import Poly, RationalFunction, poly_gcd
+from haarmoments import invariants, weingarten
+from haarmoments.ratfun import Poly, RationalFunction
+
+# Reduced str and validity_min_n of every catalog form (fans to degree 8,
+# z to multiplicity 4, x4/x5 to t + u = 6, degree 3, E(2)) and of every
+# class integral xi_symbolic with p <= 9, as the Euclidean-gcd reduction
+# gave them.
+PINS = json.loads((Path(__file__).parent / "ratfun_pins.json").read_text())
 
 
 def test_poly_str_descending_powers():
@@ -29,25 +38,61 @@ def test_poly_eval_horner():
     assert Poly(())(7) == 0
 
 
-def test_poly_exact_division():
-    num = Poly((0, -1, 0, 1))  # n^3 - n
-    assert num.exact_div(Poly((0, 1))) == Poly((-1, 0, 1))
-    with pytest.raises(ValueError):
-        Poly((1, 1)).exact_div(Poly((0, 2)))
-
-
-def test_poly_gcd():
-    a = Poly((0, -1, 0, 1))        # n(n-1)(n+1)
-    b = Poly((0, 1, 1))            # n(n+1)
-    g = poly_gcd(a, b)
-    assert g == Poly((0, 1, 1)) or g == b
-
-
 def test_ratfun_normalization_and_str():
-    r = RationalFunction(Poly((0, -2)), Poly((0, 0, 2)))
-    assert str(r) == "(-1)/(n)"
-    e22 = RationalFunction(Poly((-1,)), Poly((0, -1, 0, 1)))
-    assert str(e22) == "(-1)/(n^3 - n)"
+    n = Poly((0, 1))
+    cases = [
+        (Poly((0, -2)), Poly((0, 0, 2)), "(-1)/(n)"),
+        (Poly((-1,)), Poly((0, -1, 0, 1)), "(-1)/(n^3 - n)"),
+        # repeated factors, negative denominators, common integer content
+        (Poly((0, 0, -6)), Poly((0, 0, 0, 4)), "(-3)/(2n)"),
+        ((n + 1) * (n + 1), (n + 1) * (n + 1) * (n + 1) * (-2),
+         "(-1)/(2n + 2)"),
+        ((n - 2) * (n + 3) * 6, (n - 2) * (n - 2) * (n + 3) * (n + 3) * (-4),
+         "(-3)/(2n^2 + 2n - 12)"),
+        (Poly((4,)), Poly((-6,)), "(-2)/(3)"),
+        (Poly((-2, 0, 1)) * (n + 1), (n + 1) * (n - 1) * n * 3,
+         "(n^2 - 2)/(3n^2 - 3n)"),
+        ((n + 1) * (n + 1) * (n + 1), (n + 1) * (n + 1), "(n + 1)/(1)"),
+        (Poly((0, 3)), Poly((0, 0, 9)), "(1)/(3n)"),
+    ]
+    for num, den, want in cases:
+        assert str(RationalFunction(num, den)) == want
+
+
+def test_ratfun_refuses_denominator_that_does_not_split():
+    with pytest.raises(ValueError, match="does not split"):
+        RationalFunction(Poly((1,)), Poly((-2, 0, 1)))      # n^2 - 2
+    with pytest.raises(ValueError, match="does not split"):
+        RationalFunction(Poly((1,)), Poly((1, 0, 1)))       # n^2 + 1
+    with pytest.raises(ValueError, match="does not split"):
+        RationalFunction(Poly((1,)), Poly((1, 2)))          # 2n + 1
+    with pytest.raises(ValueError, match="does not split"):
+        RationalFunction.one() / invariants.degree3("6b")
+    assert RationalFunction(Poly(()), Poly((-2, 0, 1))).is_zero()
+
+
+def _pinned_value(key: str) -> RationalFunction:
+    family, _, args = key.partition(" ")
+    if family == "degree3":
+        return invariants.degree3(args)
+    if family == "e2":
+        return invariants.exchange_e2()
+    ints = tuple(int(a) for a in args.split(","))
+    if family == "fan":
+        return invariants.fan(ints)
+    if family == "z":
+        return invariants.z_integral(*ints)
+    if family in ("x4", "x5"):
+        return invariants.x_special(family, *ints)
+    assert family == "xi", key
+    return weingarten.xi_symbolic(ints)
+
+
+def test_reduced_forms_pinned():
+    assert len(PINS) == 337
+    for key, (text, validity) in PINS.items():
+        rf = _pinned_value(key)
+        assert (str(rf), rf.validity_min_n) == (text, validity), key
 
 
 def test_ratfun_zero_denominator():
