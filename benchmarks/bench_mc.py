@@ -1,17 +1,26 @@
 #!/usr/bin/env python3
-"""Timing of the Monte Carlo sample step, ``montecarlo.haar_batch``, and of
-whole ``estimate_moment`` calls, on one thread.
+"""Timing of the Monte Carlo sample step and of whole estimates, on one
+thread, for Haar columns and for sphere coordinates.
 
-The sample step is timed at five (n, c) pairs: c columns of an n-by-n Haar
-unitary, drawn in the estimator's chunks.  A commit whose ``haar_batch``
-takes no ``cols`` draws all n columns, as its estimator does; the entry
-records the columns drawn.  Each n also gets one full estimate of a query
-that reads c columns (a c-cycle of distinct rows and columns).
+Haar cases are (n, c): c columns of an n-by-n Haar unitary, drawn by
+``montecarlo.haar_batch`` in the estimator's chunks, and one estimate of a
+query that reads c columns (a c-cycle of distinct rows and columns).  A
+commit whose ``haar_batch`` takes no ``cols`` draws all n columns, as its
+estimator does.  Sphere cases are (n, k), the shapes of the perfbench
+``mc`` workload: the first k coordinates of a point on the sphere in R^n,
+and one estimate of the monomial with exponent 2 on each of them.  A commit
+whose ``_sphere_from_uniforms`` takes no ``coords`` draws all n
+coordinates, as its estimator does.  Each entry records what was drawn.
 
 Each case runs in a fresh interpreter with the BLAS thread caps set to 1,
 ``--repeat`` times.  The results go to a JSON file under a label, one entry
-per label, so that runs of two commits can share one file.  A digest of
-the drawn samples is stored, so entries can be checked for equal draws.
+per label, so that runs of two commits can share one file.  Per case the
+entry holds a digest of the drawn samples, which must agree between runs
+of one commit, and the largest deviation of the drawn samples from a
+reference computed here from the same uniforms: Householder QR with the
+diagonal made real positive for Haar, the full Box-Muller point divided by
+its Euclidean norm for the sphere.  Digests differ between commits whose
+samples differ in rounding; the deviation stays comparable.
 
 Usage (from the repository root):
   PYTHONPATH=src python3 benchmarks/bench_mc.py --label NAME
@@ -30,10 +39,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 SAMPLES = 16384
 SEED = 2024
-SAMPLE_CASES = [(4, 2), (6, 3), (8, 4), (10, 3), (10, 10)]
-ESTIMATE_CASES = [(4, 2), (6, 3), (8, 4), (10, 3)]
+HAAR_SAMPLE_CASES = [(4, 2), (6, 3), (8, 4), (10, 3), (10, 10)]
+HAAR_ESTIMATE_CASES = [(4, 2), (6, 3), (8, 4), (10, 3)]
+SPHERE_CASES = [(3, 2), (4, 3), (6, 3), (8, 2), (12, 3), (16, 3)]
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                  "MKL_NUM_THREADS": "1", "HAAR_MOMENTS_THREADS": "1"}
 
@@ -45,9 +57,38 @@ def cycle_query(n: int, c: int):
     return MomentQuery.make(n, idx, idx, idx, idx[1:] + idx[:1])
 
 
-def run_sample_case(n: int, c: int) -> dict:
-    """Time the sample step alone; runs in the child process."""
-    from haarmoments.montecarlo import SamplerConfig, haar_batch
+def sphere_exponents(n: int, k: int) -> tuple:
+    return (2,) * k + (0,) * (n - k)
+
+
+def haar_reference(n: int, count: int, start: int, cols: int) -> np.ndarray:
+    """Householder QR of the Ginibre block of the stream, with the
+    triangular factor's diagonal made real positive."""
+    from haarmoments.montecarlo import _uniform_block
+
+    nc = n * cols
+    u = _uniform_block(SEED, start, count, 2 * nc)
+    mod = np.sqrt(-np.log(u[:, :nc]))
+    arg = 2.0 * np.pi * u[:, nc:2 * nc]
+    q, r = np.linalg.qr((mod * np.exp(1j * arg)).reshape(count, n, cols))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def sphere_reference(n: int, count: int, start: int) -> np.ndarray:
+    """The full Box-Muller point of the stream over its Euclidean norm."""
+    from haarmoments.montecarlo import _uniform_block
+
+    m = (n + 1) // 2
+    u = _uniform_block(SEED, start, count, 2 * m)
+    rad = np.sqrt(-2.0 * np.log(u[:, :m]))
+    ang = 2.0 * np.pi * u[:, m:2 * m]
+    x = np.concatenate([rad * np.cos(ang), rad * np.sin(ang)], axis=1)[:, :n]
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def haar_drawer(n: int, c: int):
+    from haarmoments.montecarlo import haar_batch
 
     if "cols" in inspect.signature(haar_batch).parameters:
         def draw(count, start):
@@ -55,37 +96,80 @@ def run_sample_case(n: int, c: int) -> dict:
     else:
         def draw(count, start):
             return haar_batch(n, count, SEED, start)
-    draw(64, 0)  # warm up numpy and LAPACK
+
+    def deviation(x, count, start):
+        return np.max(np.abs(x - haar_reference(n, count, start, x.shape[2])))
+    return draw, deviation
+
+
+def sphere_drawer(n: int, k: int):
+    from haarmoments import montecarlo as mc
+
+    if "coords" in inspect.signature(mc._sphere_from_uniforms).parameters:
+        coords = list(range(k))
+
+        def draw(count, start):
+            u = mc._uniform_block(SEED, start, count, 2 * ((n + 1) // 2))
+            return mc._sphere_from_uniforms(u, count, n, coords)
+    else:
+        def draw(count, start):
+            return mc.sphere_batch(n, count, SEED, start)
+
+    def deviation(x, count, start):
+        ref = sphere_reference(n, count, start)[:, :x.shape[1]]
+        return np.max(np.abs(x - ref))
+    return draw, deviation
+
+
+def run_sample_case(kind: str, n: int, c: int) -> dict:
+    """Time the sample step alone; runs in the child process."""
+    from haarmoments.montecarlo import SamplerConfig
+
+    draw, deviation = (haar_drawer if kind == "haar" else sphere_drawer)(n, c)
+    draw(64, 0)  # warm up numpy (and LAPACK where a commit calls it)
     chunk = SamplerConfig(n=n, samples=SAMPLES, seed=SEED).chunk
     digest = hashlib.sha256()
     seconds = 0.0
+    max_dev = 0.0
     for lo in range(0, SAMPLES, chunk):
         count = min(chunk, SAMPLES - lo)
         start = time.perf_counter()
-        u = draw(count, lo)
+        x = draw(count, lo)
         seconds += time.perf_counter() - start
-        digest.update(u.tobytes())
-    return {"seconds": seconds, "cols_drawn": u.shape[2],
+        digest.update(np.ascontiguousarray(x).tobytes())
+        max_dev = max(max_dev, float(deviation(x, count, lo)))
+    return {"seconds": seconds, "drawn": x.shape[-1],
+            "max_dev_vs_reference": max_dev,
             "samples_sha256": digest.hexdigest()[:16]}
 
 
-def run_estimate_case(n: int, c: int) -> dict:
+def run_estimate_case(kind: str, n: int, c: int) -> dict:
     """Time one whole single-thread estimate; runs in the child process."""
-    from haarmoments.montecarlo import SamplerConfig, estimate_moment
+    from haarmoments.montecarlo import (SamplerConfig, estimate_moment,
+                                        estimate_sphere_moment)
 
-    q = cycle_query(n, c)
-    estimate_moment(q, SamplerConfig(n=n, samples=64, seed=SEED, threads=1))
+    if kind == "haar":
+        q = cycle_query(n, c)
+
+        def estimate(cfg):
+            return estimate_moment(q, cfg)
+    else:
+        e = sphere_exponents(n, c)
+
+        def estimate(cfg):
+            return estimate_sphere_moment(e, cfg)
+    estimate(SamplerConfig(n=n, samples=64, seed=SEED, threads=1))
     cfg = SamplerConfig(n=n, samples=SAMPLES, seed=SEED, threads=1)
     start = time.perf_counter()
-    est = estimate_moment(q, cfg)
+    est = estimate(cfg)
     seconds = time.perf_counter() - start
     return {"seconds": seconds, "mean_re": est.mean.real,
             "mean_im": est.mean.imag, "stderr": est.stderr}
 
 
-def child(kind: str, n: int, c: int) -> dict:
+def child(step: str, kind: str, n: int, c: int) -> dict:
     out = subprocess.run(
-        [sys.executable, __file__, "--case", kind, str(n), str(c)],
+        [sys.executable, __file__, "--case", step, kind, str(n), str(c)],
         check=True, capture_output=True, text=True,
         env=dict(os.environ, **SINGLE_THREAD)).stdout
     return json.loads(out)
@@ -98,56 +182,70 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=5)
     ap.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                          / "BENCH_mc.json"))
-    ap.add_argument("--case", nargs=3, help=argparse.SUPPRESS)
+    ap.add_argument("--case", nargs=4, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.case is not None:
-        kind, n, c = args.case[0], int(args.case[1]), int(args.case[2])
-        run = run_sample_case if kind == "sample" else run_estimate_case
-        print(json.dumps(run(n, c)))
+        step, kind, n, c = args.case
+        run = run_sample_case if step == "sample" else run_estimate_case
+        print(json.dumps(run(kind, int(n), int(c))))
         return
 
-    import numpy
-
+    width = {"haar": "cols", "sphere": "coords"}
     samples = []
-    for n, c in SAMPLE_CASES:
-        runs = [child("sample", n, c) for _ in range(args.repeat)]
-        if any(r["samples_sha256"] != runs[0]["samples_sha256"]
-               for r in runs):
-            sys.exit(f"draws differ between runs of n={n} c={c}")
-        rates = [SAMPLES / r["seconds"] for r in runs]
-        samples.append({
-            "n": n, "cols": c, "cols_drawn": runs[0]["cols_drawn"],
-            "median_samples_per_s": statistics.median(rates),
-            "samples_per_s": rates,
-            "samples_sha256": runs[0]["samples_sha256"],
-        })
-        print(f"sample   n={n:<2} c={c:<2} drawn={runs[0]['cols_drawn']:<2} "
-              f"{statistics.median(rates):12,.0f} samples/s")
+    for kind, cases in (("haar", HAAR_SAMPLE_CASES),
+                        ("sphere", SPHERE_CASES)):
+        for n, c in cases:
+            runs = [child("sample", kind, n, c) for _ in range(args.repeat)]
+            if any(r["samples_sha256"] != runs[0]["samples_sha256"]
+                   for r in runs):
+                sys.exit(f"draws differ between runs of {kind} n={n} c={c}")
+            rates = [SAMPLES / r["seconds"] for r in runs]
+            samples.append({
+                "kind": kind, "n": n, width[kind]: c,
+                width[kind] + "_drawn": runs[0]["drawn"],
+                "median_samples_per_s": statistics.median(rates),
+                "samples_per_s": rates,
+                "max_dev_vs_reference": runs[0]["max_dev_vs_reference"],
+                "samples_sha256": runs[0]["samples_sha256"],
+            })
+            print(f"sample   {kind:<6} n={n:<2} c={c:<2} "
+                  f"drawn={runs[0]['drawn']:<2} "
+                  f"{statistics.median(rates):12,.0f} samples/s  "
+                  f"dev={runs[0]['max_dev_vs_reference']:.1e}")
     estimates = []
-    for n, c in ESTIMATE_CASES:
-        runs = [child("estimate", n, c) for _ in range(args.repeat)]
-        seconds = [r["seconds"] for r in runs]
-        q = cycle_query(n, c)
-        estimates.append({
-            "n": n, "I": q.I, "J": q.J, "K": q.K, "L": q.L,
-            "median_s": statistics.median(seconds),
-            "median_samples_per_s": SAMPLES / statistics.median(seconds),
-            "seconds": seconds,
-            "mean_re": runs[0]["mean_re"], "mean_im": runs[0]["mean_im"],
-            "stderr": runs[0]["stderr"],
-        })
-        print(f"estimate n={n:<2} c={c:<2}          "
-              f"{SAMPLES / statistics.median(seconds):12,.0f} samples/s")
+    for kind, cases in (("haar", HAAR_ESTIMATE_CASES),
+                        ("sphere", SPHERE_CASES)):
+        for n, c in cases:
+            runs = [child("estimate", kind, n, c)
+                    for _ in range(args.repeat)]
+            seconds = [r["seconds"] for r in runs]
+            if kind == "haar":
+                q = cycle_query(n, c)
+                what = {"I": q.I, "J": q.J, "K": q.K, "L": q.L}
+            else:
+                what = {"exponents": sphere_exponents(n, c)}
+            estimates.append({
+                "kind": kind, "n": n, **what,
+                "median_s": statistics.median(seconds),
+                "median_samples_per_s": SAMPLES / statistics.median(seconds),
+                "seconds": seconds,
+                "mean_re": runs[0]["mean_re"], "mean_im": runs[0]["mean_im"],
+                "stderr": runs[0]["stderr"],
+            })
+            print(f"estimate {kind:<6} n={n:<2} c={c:<2}          "
+                  f"{SAMPLES / statistics.median(seconds):12,.0f} samples/s")
 
     path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {
-        "what": "single-thread haar_batch sample step and estimate_moment, "
-                f"{SAMPLES} samples, seed {SEED}, one fresh process per run",
-        "runs": {}}
+    entries = json.loads(path.read_text())["runs"] if path.exists() else {}
+    doc = {"what": "single-thread sample step and estimate, Haar columns and "
+                   f"sphere coordinates, {SAMPLES} samples, seed {SEED}, one "
+                   "fresh process per run; entries without sphere cases "
+                   "predate them",
+           "runs": entries}
     doc["runs"][args.label] = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version(),
-                 "numpy": numpy.__version__},
+                 "numpy": np.__version__},
         "repeat": args.repeat,
         "sample_step": samples,
         "estimates": estimates,

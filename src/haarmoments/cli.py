@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import invariants, sphere, suites, weingarten
-from .montecarlo import (SamplerConfig, estimate_moment,
+from .montecarlo import (SamplerConfig, check_threads, estimate_moment,
                          estimate_sphere_moment, mc_tolerance)
 from .queries import MomentQuery, is_int
 from .ratfun import RationalFunction
@@ -279,6 +279,7 @@ def _cmd_mc(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
+    check_threads(args.threads)
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     passed = 0
     failed = 0

@@ -10,11 +10,21 @@ uniforms in (0, 1] via ((word >> 11) + 1) * 2**-53.  A Haar sample of c
 columns of an n-by-n unitary uses w = 2*n*c: the first n*c words are
 moduli and the next n*c phases, z = sqrt(-ln u) * exp(2*pi*i*v) is a
 standard complex normal, and the n*c normals fill an n-by-c Ginibre block
-row by row.  The block is orthonormalized by QR with the diagonal of the
-triangular factor made real positive (Mezzadri, math-ph/0609050); the
-result is distributed as the first c columns of a Haar unitary, and c = n
-gives the whole matrix.  Sphere samples use w = 2*ceil(n/2) (Box-Muller
-cosine/sine pairs).
+row by row.  The block is orthonormalized by Gram-Schmidt, each column
+swept twice against the ones before it.  That is the block's QR
+factorization with a real positive diagonal in the triangular factor,
+which is unique: the Q of a Householder QR after the phase fix of
+Mezzadri (math-ph/0609050), to rounding.  The result is distributed as the
+first c columns of a Haar unitary, and c = n gives the whole matrix.
+Sphere samples use w = 2*ceil(n/2) Box-Muller words, m = ceil(n/2) radii
+r_k = sqrt(-2 ln u_k) and then m angles a_k = 2*pi*v_k; the point is
+(r_1 cos a_1, ..., r_m cos a_m, r_1 sin a_1, ...) cut to n coordinates and
+divided by its norm.  The squared norm comes from the radii: the sum of
+r_k^2 = -2 ln u_k over the full pairs, plus r_m^2 cos^2 a_m when n is odd,
+so a sphere estimate computes only the coordinates whose exponent is
+nonzero.  cos and sin of 2*pi*v come from one tangent (``_cos_sin_2pi``).
+The uniforms are fixed bit for bit; samples are fixed up to rounding in
+the transforms above.
 
 A Haar estimate draws only the columns its query reads.  Right invariance
 lets the distinct columns be relabelled, in increasing order, to 1..c, and
@@ -56,6 +66,7 @@ class SamplerConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.chunk < 1:
             raise ValueError("chunk must be positive")
+        check_threads(self.threads)
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,12 @@ class Estimate:
     mean: complex
     stderr: float
     samples: int
+
+
+def check_threads(threads: int | None) -> None:
+    """Refuse a worker count below 1 (None means the default)."""
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be at least 1")
 
 
 def default_threads() -> int:
@@ -89,23 +106,51 @@ def _uniform_block(seed: int, start_sample: int, count: int,
     return u[:, :per_sample]
 
 
+def _cos_sin_2pi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos(2*pi*v) and sin(2*pi*v) from one tangent: with t = tan(pi*(v -
+    1/2)), they are (t^2 - 1)/(t^2 + 1) and -2t/(t^2 + 1).  numpy's float64
+    tan is vectorized where its cos and sin are not."""
+    t = np.tan(np.pi * (v - 0.5))
+    s = 1.0 / (1.0 + t * t)
+    return (t * t - 1.0) * s, -2.0 * t * s
+
+
 def _haar_from_uniforms(u: np.ndarray, count: int, n: int,
                         c: int) -> np.ndarray:
     nc = n * c
     mod = np.sqrt(-np.log(u[:, :nc]))
-    arg = 2.0 * np.pi * u[:, nc:2 * nc]
-    z = (mod * np.exp(1j * arg)).reshape(count, n, c)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    cos, sin = _cos_sin_2pi(u[:, nc:2 * nc])
+    z = np.empty((count, nc), dtype=np.complex128)
+    np.multiply(mod, cos, out=z.real)
+    np.multiply(mod, sin, out=z.imag)
+    # column k of every sample is the contiguous (n, count) slab q[k]
+    q = z.reshape(count, n, c).transpose(2, 1, 0).copy()
+    for k in range(c):
+        v = q[k]
+        # modified Gram-Schmidt, swept twice so that nearly dependent
+        # columns still come out orthonormal to rounding
+        for _ in range(2):
+            for j in range(k):
+                v -= q[j] * (q[j].conj() * v).sum(axis=0)
+        v /= np.sqrt((v.real * v.real + v.imag * v.imag).sum(axis=0))
+    return q.transpose(2, 1, 0)
 
 
-def _sphere_from_uniforms(u: np.ndarray, count: int, n: int) -> np.ndarray:
+def _sphere_from_uniforms(u: np.ndarray, count: int, n: int,
+                          coords) -> np.ndarray:
     m = (n + 1) // 2
-    rad = np.sqrt(-2.0 * np.log(u[:, :m]))
-    ang = 2.0 * np.pi * u[:, m:2 * m]
-    x = np.concatenate([rad * np.cos(ang), rad * np.sin(ang)], axis=1)[:, :n]
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    r2 = -2.0 * np.log(u[:, :m])  # squared Box-Muller radii
+    norm2 = r2[:, :n // 2].sum(axis=1)
+    if n % 2:
+        # the last pair contributes only its cosine coordinate
+        norm2 += r2[:, m - 1] * _cos_sin_2pi(u[:, 2 * m - 1])[0] ** 2
+    scale = 1.0 / np.sqrt(norm2)
+    x = np.empty((count, len(coords)))
+    for out, i in enumerate(coords):
+        pair = i % m  # coordinates 0..m-1 are cosines, m..n-1 sines
+        trig = _cos_sin_2pi(u[:, m + pair])[i // m]
+        x[:, out] = np.sqrt(r2[:, pair]) * scale * trig
+    return x
 
 
 def haar_batch(n: int, count: int, seed: int, start: int = 0,
@@ -122,7 +167,7 @@ def haar_batch(n: int, count: int, seed: int, start: int = 0,
 def sphere_batch(n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
     """``count`` uniform points on the unit sphere in R^n."""
     u = _uniform_block(seed, start, count, 2 * ((n + 1) // 2))
-    return _sphere_from_uniforms(u, count, n)
+    return _sphere_from_uniforms(u, count, n, range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +234,17 @@ def estimate_moment(q: MomentQuery, cfg: SamplerConfig) -> Estimate:
 def estimate_sphere_moment(exponents, cfg: SamplerConfig) -> Estimate:
     """Sample mean of prod x_i^(e_i) over the sphere in R^n."""
     exponents = tuple(exponents)
-    if len(exponents) != cfg.n:
+    n = cfg.n
+    if len(exponents) != n:
         raise ValueError("exponent vector length differs from dimension")
+    coords = [i for i, e in enumerate(exponents) if e]
 
     def values(lo, hi):
-        x = sphere_batch(cfg.n, hi - lo, cfg.seed, start=lo)
+        u = _uniform_block(cfg.seed, lo, hi - lo, 2 * ((n + 1) // 2))
+        x = _sphere_from_uniforms(u, hi - lo, n, coords)
         vals = np.ones(hi - lo, dtype=np.float64)
-        for idx, e in enumerate(exponents):
-            if e:
-                vals = vals * x[:, idx] ** e
+        for col, i in enumerate(coords):
+            vals = vals * x[:, col] ** exponents[i]
         return vals
 
     return _accumulate(cfg, values)

@@ -274,3 +274,16 @@ def test_verify_exit_codes(capsys):
     lines = out.strip().splitlines()
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("checks passed")
+
+
+def test_mc_and_verify_refuse_thread_counts_below_one(capsys):
+    haar = '{"n":2,"I":[1],"J":[1],"K":[1],"L":[1]}'
+    sph = '{"kind":"sphere","exponents":[2,0]}'
+    for argv in (("mc", "--query", haar, "--samples", "100"),
+                 ("mc", "--query", sph, "--samples", "100"),
+                 ("verify",), ("verify", "--suite", "mc-crosscheck")):
+        for threads in ("0", "-2"):
+            code, out, err = run_cli(capsys, *argv, "--threads", threads)
+            assert code == 2, argv
+            assert out == ""
+            assert err == "error: threads must be at least 1\n"

@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from haarmoments.invariants import moment
-from haarmoments.montecarlo import (SamplerConfig, _uniform_block,
+from haarmoments.montecarlo import (SamplerConfig, _cos_sin_2pi,
+                                    _haar_from_uniforms,
+                                    _sphere_from_uniforms, _uniform_block,
                                     estimate_moment, estimate_sphere_moment,
                                     haar_batch, mc_tolerance, sphere_batch)
 from haarmoments.queries import MomentQuery
@@ -26,6 +28,15 @@ def test_uniform_stream_differs_by_seed():
     assert not np.array_equal(a, b)
 
 
+def test_cos_sin_from_tangent_match_libm():
+    v = np.concatenate([_uniform_block(61, 0, 2000, 8).ravel(),
+                        [2.0 ** -53, 0.25, 0.5 - 2.0 ** -53, 0.5,
+                         0.5 + 2.0 ** -53, 0.75, 1.0 - 2.0 ** -53, 1.0]])
+    cos, sin = _cos_sin_2pi(v)
+    assert np.max(np.abs(cos - np.cos(2.0 * np.pi * v))) < 2e-15
+    assert np.max(np.abs(sin - np.sin(2.0 * np.pi * v))) < 2e-15
+
+
 def test_haar_batch_unitarity():
     for n in (1, 2, 5):
         us = haar_batch(n, 6, seed=7)
@@ -43,10 +54,25 @@ def test_haar_batch_counter_addressable():
 
 
 def test_sphere_batch_normalized():
-    for n in (1, 2, 3, 7):
-        xs = sphere_batch(n, 5, seed=3)
-        assert xs.shape == (5, n)
+    for n in range(1, 18):
+        xs = sphere_batch(n, 50, seed=3, start=n)
+        assert xs.shape == (50, n)
         assert np.max(np.abs(np.sum(xs * xs, axis=1) - 1.0)) < 1e-12
+
+
+def test_sphere_coordinate_subsets_match_full_draws():
+    # the norm comes from the Box-Muller radii, so drawing a few coordinates
+    # gives the same values as the matching columns of the full point
+    rng = np.random.default_rng(0)
+    for n in range(1, 18):
+        w = 2 * ((n + 1) // 2)
+        full = sphere_batch(n, 40, seed=71, start=9)
+        u = _uniform_block(71, 9, 40, w)
+        for size in range(n + 1):
+            coords = sorted(rng.choice(n, size=size, replace=False))
+            part = _sphere_from_uniforms(u, 40, n, coords)
+            assert part.shape == (40, size)
+            assert np.max(np.abs(part - full[:, coords]), initial=0) < 1e-14
 
 
 def test_estimates_are_deterministic():
@@ -104,6 +130,14 @@ def test_sphere_estimator():
     assert est.mean.imag == 0.0
 
 
+def test_sphere_estimator_of_constant_monomial_is_exactly_one():
+    for n in (1, 4, 9):
+        est = estimate_sphere_moment((0,) * n,
+                                     SamplerConfig(n=n, samples=300, seed=5,
+                                                   chunk=128))
+        assert est.mean == 1.0 and est.stderr == 0.0
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SamplerConfig(n=0, samples=100, seed=1)
@@ -111,6 +145,10 @@ def test_config_validation():
         SamplerConfig(n=2, samples=1, seed=1)
     with pytest.raises(ValueError):
         SamplerConfig(n=2, samples=100, seed=-1)
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            SamplerConfig(n=2, samples=100, seed=1, threads=threads)
+    assert SamplerConfig(n=2, samples=100, seed=1, threads=1).threads == 1
 
 
 def test_estimator_validates_dimensions():
@@ -188,3 +226,57 @@ def test_estimator_rejects_indices_outside_dimension():
               MomentQuery.make(3, (1, 2), (1,), (1,), (1,))):
         with pytest.raises(ValueError):
             estimate_moment(q, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Gram-Schmidt against a LAPACK reference
+
+def _lapack_haar(u, count, n, c):
+    """Householder QR of the same Ginibre block, with the triangular
+    factor's diagonal made real positive (Mezzadri, math-ph/0609050)."""
+    nc = n * c
+    mod = np.sqrt(-np.log(u[:, :nc]))
+    arg = 2.0 * np.pi * u[:, nc:2 * nc]
+    z = (mod * np.exp(1j * arg)).reshape(count, n, c)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def _orthonormality_error(us):
+    c = us.shape[2]
+    return np.max(np.abs(np.einsum("sik,sil->skl", us.conj(), us)
+                         - np.eye(c)))
+
+
+@pytest.mark.parametrize("n,c", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3),
+                                 (6, 5), (10, 3), (10, 10)])
+def test_haar_batch_matches_lapack_reference(n, c):
+    # a QR with a real positive diagonal is unique, so Gram-Schmidt and
+    # Householder agree up to rounding
+    for seed in (1, 977, 2 ** 64 - 1):
+        for start in (0, 13, 10 ** 6):
+            us = haar_batch(n, 40, seed, start=start, cols=c)
+            ref = _lapack_haar(_uniform_block(seed, start, 40, 2 * n * c),
+                               40, n, c)
+            assert np.max(np.abs(us - ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n,c", [(2, 2), (3, 2), (4, 3), (6, 5), (10, 10)])
+def test_gram_schmidt_orthonormal_on_nearly_dependent_columns(n, c):
+    # every column a near copy of the first: one Gram-Schmidt sweep loses
+    # orthogonality in proportion to the condition number; two must not
+    nc = n * c
+    count = 30
+    for delta in (1e-6, 1e-9, 1e-12):
+        u = np.array(_uniform_block(43, 0, count, 2 * nc))
+        for i in range(n):
+            for k in range(1, c):
+                u[:, i * c + k] = u[:, i * c] * (1 - delta * (i + 1) * k)
+                u[:, nc + i * c + k] = u[:, nc + i * c]
+        us = _haar_from_uniforms(u, count, n, c)
+        assert np.all(np.isfinite(us))
+        assert _orthonormality_error(us) < 1e-12
+        # the first column is still the normalized first Ginibre column
+        ref = _lapack_haar(u, count, n, c)
+        assert np.max(np.abs(us[:, :, 0] - ref[:, :, 0])) < 1e-12
