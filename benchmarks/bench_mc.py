@@ -8,9 +8,11 @@ query that reads c columns (a c-cycle of distinct rows and columns).  A
 commit whose ``haar_batch`` takes no ``cols`` draws all n columns, as its
 estimator does.  Sphere cases are (n, k), the shapes of the perfbench
 ``mc`` workload: the first k coordinates of a point on the sphere in R^n,
-and one estimate of the monomial with exponent 2 on each of them.  A commit
-whose ``_sphere_from_uniforms`` takes no ``coords`` draws all n
-coordinates, as its estimator does.  Each entry records what was drawn.
+and one estimate of the monomial with exponent 2 on each of them.  numpy
+squares without calling pow, so three more sphere estimates use the
+workload's exponents 3 and 4 (``SPHERE_POWER_CASES``).  A commit whose
+``_sphere_from_uniforms`` takes no ``coords`` draws all n coordinates, as
+its estimator does.  Each entry records what was drawn.
 
 Each case runs in a fresh interpreter with the BLAS thread caps set to 1,
 ``--repeat`` times.  The results go to a JSON file under a label, one entry
@@ -46,6 +48,8 @@ SEED = 2024
 HAAR_SAMPLE_CASES = [(4, 2), (6, 3), (8, 4), (10, 3), (10, 10)]
 HAAR_ESTIMATE_CASES = [(4, 2), (6, 3), (8, 4), (10, 3)]
 SPHERE_CASES = [(3, 2), (4, 3), (6, 3), (8, 2), (12, 3), (16, 3)]
+# (n, nonzero exponents), spread over the coordinates by power_exponents
+SPHERE_POWER_CASES = [(16, (4, 1, 4)), (4, (1, 4, 3)), (3, (3, 2))]
 SINGLE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                  "MKL_NUM_THREADS": "1", "HAAR_MOMENTS_THREADS": "1"}
 
@@ -59,6 +63,13 @@ def cycle_query(n: int, c: int):
 
 def sphere_exponents(n: int, k: int) -> tuple:
     return (2,) * k + (0,) * (n - k)
+
+
+def power_exponents(n: int, powers: tuple) -> tuple:
+    e = [0] * n
+    for j, p in enumerate(powers):
+        e[j * n // len(powers)] = p
+    return tuple(e)
 
 
 def haar_reference(n: int, count: int, start: int, cols: int) -> np.ndarray:
@@ -143,18 +154,19 @@ def run_sample_case(kind: str, n: int, c: int) -> dict:
             "samples_sha256": digest.hexdigest()[:16]}
 
 
-def run_estimate_case(kind: str, n: int, c: int) -> dict:
-    """Time one whole single-thread estimate; runs in the child process."""
+def run_estimate_case(kind: str, n: int, what: str) -> dict:
+    """Time one whole single-thread estimate of a c-cycle (Haar) or of
+    comma-separated exponents (sphere); runs in the child process."""
     from haarmoments.montecarlo import (SamplerConfig, estimate_moment,
                                         estimate_sphere_moment)
 
     if kind == "haar":
-        q = cycle_query(n, c)
+        q = cycle_query(n, int(what))
 
         def estimate(cfg):
             return estimate_moment(q, cfg)
     else:
-        e = sphere_exponents(n, c)
+        e = tuple(int(x) for x in what.split(","))
 
         def estimate(cfg):
             return estimate_sphere_moment(e, cfg)
@@ -167,9 +179,9 @@ def run_estimate_case(kind: str, n: int, c: int) -> dict:
             "mean_im": est.mean.imag, "stderr": est.stderr}
 
 
-def child(step: str, kind: str, n: int, c: int) -> dict:
+def child(step: str, kind: str, n: int, what) -> dict:
     out = subprocess.run(
-        [sys.executable, __file__, "--case", step, kind, str(n), str(c)],
+        [sys.executable, __file__, "--case", step, kind, str(n), str(what)],
         check=True, capture_output=True, text=True,
         env=dict(os.environ, **SINGLE_THREAD)).stdout
     return json.loads(out)
@@ -185,9 +197,11 @@ def main() -> None:
     ap.add_argument("--case", nargs=4, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.case is not None:
-        step, kind, n, c = args.case
-        run = run_sample_case if step == "sample" else run_estimate_case
-        print(json.dumps(run(kind, int(n), int(c))))
+        step, kind, n, what = args.case
+        if step == "sample":
+            print(json.dumps(run_sample_case(kind, int(n), int(what))))
+        else:
+            print(json.dumps(run_estimate_case(kind, int(n), what)))
         return
 
     width = {"haar": "cols", "sphere": "coords"}
@@ -213,34 +227,37 @@ def main() -> None:
                   f"{statistics.median(rates):12,.0f} samples/s  "
                   f"dev={runs[0]['max_dev_vs_reference']:.1e}")
     estimates = []
-    for kind, cases in (("haar", HAAR_ESTIMATE_CASES),
-                        ("sphere", SPHERE_CASES)):
-        for n, c in cases:
-            runs = [child("estimate", kind, n, c)
-                    for _ in range(args.repeat)]
-            seconds = [r["seconds"] for r in runs]
-            if kind == "haar":
-                q = cycle_query(n, c)
-                what = {"I": q.I, "J": q.J, "K": q.K, "L": q.L}
-            else:
-                what = {"exponents": sphere_exponents(n, c)}
-            estimates.append({
-                "kind": kind, "n": n, **what,
-                "median_s": statistics.median(seconds),
-                "median_samples_per_s": SAMPLES / statistics.median(seconds),
-                "seconds": seconds,
-                "mean_re": runs[0]["mean_re"], "mean_im": runs[0]["mean_im"],
-                "stderr": runs[0]["stderr"],
-            })
-            print(f"estimate {kind:<6} n={n:<2} c={c:<2}          "
-                  f"{SAMPLES / statistics.median(seconds):12,.0f} samples/s")
+    cases = [("haar", n, c) for n, c in HAAR_ESTIMATE_CASES]
+    cases += [("sphere", n, sphere_exponents(n, k)) for n, k in SPHERE_CASES]
+    cases += [("sphere", n, power_exponents(n, p))
+              for n, p in SPHERE_POWER_CASES]
+    for kind, n, case in cases:
+        if kind == "haar":
+            arg, c = case, case
+            q = cycle_query(n, c)
+            what = {"I": q.I, "J": q.J, "K": q.K, "L": q.L}
+        else:
+            arg, c = ",".join(map(str, case)), sum(1 for e in case if e)
+            what = {"exponents": case}
+        runs = [child("estimate", kind, n, arg) for _ in range(args.repeat)]
+        seconds = [r["seconds"] for r in runs]
+        estimates.append({
+            "kind": kind, "n": n, **what,
+            "median_s": statistics.median(seconds),
+            "median_samples_per_s": SAMPLES / statistics.median(seconds),
+            "seconds": seconds,
+            "mean_re": runs[0]["mean_re"], "mean_im": runs[0]["mean_im"],
+            "stderr": runs[0]["stderr"],
+        })
+        print(f"estimate {kind:<6} n={n:<2} c={c:<2}          "
+              f"{SAMPLES / statistics.median(seconds):12,.0f} samples/s")
 
     path = Path(args.out)
     entries = json.loads(path.read_text())["runs"] if path.exists() else {}
     doc = {"what": "single-thread sample step and estimate, Haar columns and "
                    f"sphere coordinates, {SAMPLES} samples, seed {SEED}, one "
-                   "fresh process per run; entries without sphere cases "
-                   "predate them",
+                   "fresh process per run; entries without sphere cases, or "
+                   "without sphere exponents above 2, predate them",
            "runs": entries}
     doc["runs"][args.label] = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),

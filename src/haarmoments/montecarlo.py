@@ -26,6 +26,15 @@ nonzero.  cos and sin of 2*pi*v come from one tangent (``_cos_sin_2pi``).
 The uniforms are fixed bit for bit; samples are fixed up to rounding in
 the transforms above.
 
+The uniforms are made in one pass: numpy's ``Generator.random`` maps a
+word to (word >> 11) * 2**-53, and adding 2**-53 in place gives the
+contract's value exactly.  A Haar draw runs in tiles of about 2**15 / (n*c)
+samples, so that a tile's uniforms, normals and Gram-Schmidt slabs stay in
+a 4 MiB L2 cache; tiles continue one Philox stream, and each sample's
+arithmetic does not depend on its tile.  A Haar estimate contracts each
+tile in place as it is made, and a sphere estimate raises coordinates to
+their exponents by repeated products rather than pow.
+
 A Haar estimate draws only the columns its query reads.  Right invariance
 lets the distinct columns be relabelled, in increasing order, to 1..c, and
 U^T is Haar too, so a query with fewer distinct rows than distinct columns
@@ -46,6 +55,9 @@ import numpy as np
 from .queries import MomentQuery, canonicalize
 
 _INV_2_53 = 2.0 ** -53
+# matrix entries per Haar tile: its uniforms, normals and Gram-Schmidt
+# slabs then stay within a 4 MiB L2 cache
+_TILE_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -77,16 +89,27 @@ class Estimate:
 
 
 def check_threads(threads: int | None) -> None:
-    """Refuse a worker count below 1 (None means the default)."""
-    if threads is not None and threads < 1:
+    """Refuse a worker count below 1; None means the default, and a
+    ``HAAR_MOMENTS_THREADS`` setting behind it is checked the same way."""
+    if threads is None:
+        default_threads()
+    elif threads < 1:
         raise ValueError("threads must be at least 1")
 
 
 def default_threads() -> int:
+    """``HAAR_MOMENTS_THREADS`` if set and not empty, else min(4, cpus)."""
     env = os.environ.get("HAAR_MOMENTS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError("HAAR_MOMENTS_THREADS must be an integer of at "
+                         f"least 1, not {env!r}")
+    return threads
 
 
 def mc_tolerance(est: Estimate) -> float:
@@ -97,34 +120,57 @@ def mc_tolerance(est: Estimate) -> float:
 # ---------------------------------------------------------------------------
 # uniform stream and variate transforms
 
+def _uniform_stream(seed: int, start_sample: int, per_sample: int):
+    """``draw(count)`` gives the uniforms of the next ``count`` samples,
+    shape (count, per_sample), starting at ``start_sample``."""
+    blocks = -(-per_sample // 4)
+    gen = np.random.Generator(
+        np.random.Philox(key=seed, counter=start_sample * blocks))
+
+    def draw(count: int) -> np.ndarray:
+        # (word >> 11) * 2**-53 + 2**-53 is the contract's uniform exactly;
+        # a draw takes whole counter blocks, so the next starts a sample
+        u = gen.random(count * blocks * 4)
+        u += _INV_2_53
+        return u.reshape(count, blocks * 4)[:, :per_sample]
+    return draw
+
+
 def _uniform_block(seed: int, start_sample: int, count: int,
                    per_sample: int) -> np.ndarray:
-    blocks = -(-per_sample // 4)
-    bg = np.random.Philox(key=seed, counter=start_sample * blocks)
-    raw = bg.random_raw(count * blocks * 4).reshape(count, blocks * 4)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
-    return u[:, :per_sample]
+    return _uniform_stream(seed, start_sample, per_sample)(count)
 
 
 def _cos_sin_2pi(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cos(2*pi*v) and sin(2*pi*v) from one tangent: with t = tan(pi*(v -
     1/2)), they are (t^2 - 1)/(t^2 + 1) and -2t/(t^2 + 1).  numpy's float64
     tan is vectorized where its cos and sin are not."""
-    t = np.tan(np.pi * (v - 0.5))
-    s = 1.0 / (1.0 + t * t)
-    return (t * t - 1.0) * s, -2.0 * t * s
+    t = v - 0.5
+    t *= np.pi
+    np.tan(t, out=t)
+    t2 = t * t
+    s = t2 + 1.0
+    np.divide(1.0, s, out=s)
+    t2 -= 1.0
+    t2 *= s
+    t *= -2.0
+    t *= s
+    return t2, t
 
 
 def _haar_from_uniforms(u: np.ndarray, count: int, n: int,
                         c: int) -> np.ndarray:
     nc = n * c
+
+    def slabs(a):
+        # column k of every sample as the (n, count) slab [k]
+        return a.reshape(count, n, c).transpose(2, 1, 0)
+
     mod = np.sqrt(-np.log(u[:, :nc]))
     cos, sin = _cos_sin_2pi(u[:, nc:2 * nc])
-    z = np.empty((count, nc), dtype=np.complex128)
-    np.multiply(mod, cos, out=z.real)
-    np.multiply(mod, sin, out=z.imag)
-    # column k of every sample is the contiguous (n, count) slab q[k]
-    q = z.reshape(count, n, c).transpose(2, 1, 0).copy()
+    q = np.empty((c, n, count), dtype=np.complex128)
+    np.multiply(slabs(mod), slabs(cos), out=q.real)
+    np.multiply(slabs(mod), slabs(sin), out=q.imag)
     for k in range(c):
         v = q[k]
         # modified Gram-Schmidt, swept twice so that nearly dependent
@@ -136,21 +182,49 @@ def _haar_from_uniforms(u: np.ndarray, count: int, n: int,
     return q.transpose(2, 1, 0)
 
 
+def _tile_bounds(count: int, entries: int) -> list[int]:
+    """Bounds of equal tiles of about _TILE_ENTRIES / entries samples over
+    0..count.  The target is at least 4, so no tile of a count >= 2 holds a
+    single sample."""
+    tiles = -(-count // max(4, _TILE_ENTRIES // entries))
+    return [count * t // tiles for t in range(tiles + 1)]
+
+
+def _haar_tiles(n: int, count: int, seed: int, start: int, c: int):
+    """Yield (lo, hi, q) for samples start+lo..start+hi, tile by tile;
+    q[k, i, s] is entry (i, k) of sample lo+s."""
+    draw = _uniform_stream(seed, start, 2 * n * c)
+    if count == 1:
+        # numpy sums a lone (n, 1) slab pairwise, not row by row as in a
+        # wider one, so a single sample is computed as the first of two
+        yield 0, 1, _haar_from_uniforms(draw(2), 2, n, c).T[:, :, :1]
+        return
+    bounds = _tile_bounds(count, n * c)
+    for lo, hi in zip(bounds, bounds[1:]):
+        # .T gives back the (c, n, count) slabs the transform built
+        yield lo, hi, _haar_from_uniforms(draw(hi - lo), hi - lo, n, c).T
+
+
 def _sphere_from_uniforms(u: np.ndarray, count: int, n: int,
                           coords) -> np.ndarray:
     m = (n + 1) // 2
-    r2 = -2.0 * np.log(u[:, :m])  # squared Box-Muller radii
-    norm2 = r2[:, :n // 2].sum(axis=1)
+    # squared Box-Muller radii, one contiguous row per pair
+    r2 = np.log(u[:, :m].T, out=np.empty((m, count)))
+    r2 *= -2.0
+    norm2 = np.zeros(count)
+    for row in r2[:n // 2]:  # .sum(axis=0) would go pairwise on one sample
+        norm2 += row
     if n % 2:
         # the last pair contributes only its cosine coordinate
-        norm2 += r2[:, m - 1] * _cos_sin_2pi(u[:, 2 * m - 1])[0] ** 2
+        norm2 += r2[m - 1] * _cos_sin_2pi(u[:, 2 * m - 1])[0] ** 2
     scale = 1.0 / np.sqrt(norm2)
-    x = np.empty((count, len(coords)))
-    for out, i in enumerate(coords):
+    x = np.empty((len(coords), count))
+    for xi, i in zip(x, coords):
         pair = i % m  # coordinates 0..m-1 are cosines, m..n-1 sines
-        trig = _cos_sin_2pi(u[:, m + pair])[i // m]
-        x[:, out] = np.sqrt(r2[:, pair]) * scale * trig
-    return x
+        np.sqrt(r2[pair], out=xi)
+        xi *= scale
+        xi *= _cos_sin_2pi(u[:, m + pair])[i // m]
+    return x.T
 
 
 def haar_batch(n: int, count: int, seed: int, start: int = 0,
@@ -160,8 +234,10 @@ def haar_batch(n: int, count: int, seed: int, start: int = 0,
     c = n if cols is None else cols
     if not 1 <= c <= n:
         raise ValueError("cols must be between 1 and n")
-    u = _uniform_block(seed, start, count, 2 * n * c)
-    return _haar_from_uniforms(u, count, n, c)
+    out = np.empty((c, n, count), dtype=np.complex128)
+    for lo, hi, q in _haar_tiles(n, count, seed, start, c):
+        out[:, :, lo:hi] = q
+    return out.T
 
 
 def sphere_batch(n: int, count: int, seed: int, start: int = 0) -> np.ndarray:
@@ -205,6 +281,29 @@ def _accumulate(cfg: SamplerConfig, values_for_range) -> Estimate:
     return Estimate(mean, math.sqrt((var_re + var_im) / count), count)
 
 
+def _haar_contract(q: np.ndarray, conj, plain, out: np.ndarray) -> None:
+    """out = prod conj(q[k, i]) over (k, i) in ``conj`` times prod q[k, i]
+    over ``plain``, in place.  The conjugated factors are multiplied first
+    and conjugated once, as conj(a) * conj(b) = conj(a * b) exactly."""
+    out.fill(1.0)
+    for f in conj:
+        out *= q[f]
+    if conj:
+        np.conjugate(out, out=out)
+    for f in plain:
+        out *= q[f]
+
+
+def _sphere_monomial(x: np.ndarray, powers) -> np.ndarray:
+    """prod_j x[:, j] ** powers[j] by repeated products in place: the
+    powers are small, and they spare a libm pow per value."""
+    vals = np.ones(len(x))
+    for xj, e in zip(x.T, powers):
+        for _ in range(e):
+            vals *= xj
+    return vals
+
+
 def estimate_moment(q: MomentQuery, cfg: SamplerConfig) -> Estimate:
     """Sample mean of prod conj(U)_{I_a J_a} * prod U_{K_b L_b}, drawing
     only the columns the query reads (see the module docstring)."""
@@ -217,15 +316,14 @@ def estimate_moment(q: MomentQuery, cfg: SamplerConfig) -> Estimate:
     if len(set(I + K)) < len(set(J + L)):
         I, J, K, L = J, I, L, K
     col = {j: c for c, j in enumerate(sorted(set(J + L)))}
+    conj = [(col[j], i - 1) for i, j in zip(I, J)]
+    plain = [(col[l], k - 1) for k, l in zip(K, L)]
 
     def values(lo, hi):
-        u = haar_batch(cfg.n, hi - lo, cfg.seed, start=lo,
-                       cols=max(len(col), 1))
-        vals = np.ones(hi - lo, dtype=np.complex128)
-        for i, j in zip(I, J):
-            vals = vals * np.conj(u[:, i - 1, col[j]])
-        for k, l in zip(K, L):
-            vals = vals * u[:, k - 1, col[l]]
+        vals = np.empty(hi - lo, dtype=np.complex128)
+        for a, b, slabs in _haar_tiles(cfg.n, hi - lo, cfg.seed, lo,
+                                       max(len(col), 1)):
+            _haar_contract(slabs, conj, plain, vals[a:b])
         return vals
 
     return _accumulate(cfg, values)
@@ -238,13 +336,11 @@ def estimate_sphere_moment(exponents, cfg: SamplerConfig) -> Estimate:
     if len(exponents) != n:
         raise ValueError("exponent vector length differs from dimension")
     coords = [i for i, e in enumerate(exponents) if e]
+    powers = [exponents[i] for i in coords]
 
     def values(lo, hi):
         u = _uniform_block(cfg.seed, lo, hi - lo, 2 * ((n + 1) // 2))
-        x = _sphere_from_uniforms(u, hi - lo, n, coords)
-        vals = np.ones(hi - lo, dtype=np.float64)
-        for col, i in enumerate(coords):
-            vals = vals * x[:, col] ** exponents[i]
-        return vals
+        return _sphere_monomial(_sphere_from_uniforms(u, hi - lo, n, coords),
+                                powers)
 
     return _accumulate(cfg, values)

@@ -287,3 +287,27 @@ def test_mc_and_verify_refuse_thread_counts_below_one(capsys):
             assert code == 2, argv
             assert out == ""
             assert err == "error: threads must be at least 1\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+def test_mc_and_verify_refuse_bad_thread_environment(capsys, monkeypatch,
+                                                    value):
+    monkeypatch.setenv("HAAR_MOMENTS_THREADS", value)
+    haar = '{"n":2,"I":[1],"J":[1],"K":[1],"L":[1]}'
+    sph = '{"kind":"sphere","exponents":[2,0]}'
+    for argv in (("mc", "--query", haar, "--samples", "100"),
+                 ("mc", "--query", sph, "--samples", "100"),
+                 ("verify",), ("verify", "--suite", "mc-crosscheck")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err == ("error: HAAR_MOMENTS_THREADS must be an integer of "
+                       f"at least 1, not {value!r}\n")
+
+
+def test_empty_thread_environment_means_unset(capsys, monkeypatch):
+    monkeypatch.setenv("HAAR_MOMENTS_THREADS", "")
+    code, out, _ = run_cli(capsys, "mc", "--query",
+                           '{"n":2,"I":[1],"J":[1],"K":[1],"L":[1]}',
+                           "--samples", "100")
+    assert code == 0 and json.loads(out)["samples"] == 100

@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 
 from haarmoments.invariants import moment
-from haarmoments.montecarlo import (SamplerConfig, _cos_sin_2pi,
-                                    _haar_from_uniforms,
-                                    _sphere_from_uniforms, _uniform_block,
+from haarmoments.montecarlo import (_TILE_ENTRIES, SamplerConfig,
+                                    _cos_sin_2pi, _haar_contract,
+                                    _haar_from_uniforms, _haar_tiles,
+                                    _tile_bounds,
+                                    _sphere_from_uniforms, _sphere_monomial,
+                                    _uniform_block, default_threads,
                                     estimate_moment, estimate_sphere_moment,
                                     haar_batch, mc_tolerance, sphere_batch)
 from haarmoments.queries import MomentQuery
@@ -20,6 +23,20 @@ def test_uniform_stream_is_counter_addressable():
     assert np.array_equal(whole, np.vstack([head, tail]))
     assert whole.shape == (10, 7)
     assert np.all(whole > 0) and np.all(whole <= 1)
+
+
+@pytest.mark.parametrize("seed,start,count,w", [
+    (0, 0, 9, 3), (123, 7, 20, 6), (2 ** 63 + 5, 1000, 11, 16),
+    (2 ** 64 - 1, 3, 4, 200), (42, 5, 1, 1)])
+def test_uniform_block_is_the_documented_formula(seed, start, count, w):
+    # sample s reads the first w words of counter blocks [s*B, (s+1)*B),
+    # B = ceil(w/4), each word mapped to ((word >> 11) + 1) * 2**-53
+    blocks = -(-w // 4)
+    raw = np.random.Philox(key=seed, counter=start * blocks).random_raw(
+        count * blocks * 4).reshape(count, blocks * 4)[:, :w]
+    ref = ((raw >> np.uint64(11)) + np.uint64(1)).astype(np.float64) \
+        * 2.0 ** -53
+    assert np.array_equal(_uniform_block(seed, start, count, w), ref)
 
 
 def test_uniform_stream_differs_by_seed():
@@ -136,6 +153,24 @@ def test_sphere_estimator_of_constant_monomial_is_exactly_one():
                                      SamplerConfig(n=n, samples=300, seed=5,
                                                    chunk=128))
         assert est.mean == 1.0 and est.stderr == 0.0
+
+
+def test_default_threads_reads_the_environment(monkeypatch):
+    monkeypatch.setenv("HAAR_MOMENTS_THREADS", "3")
+    assert default_threads() == 3
+    monkeypatch.setenv("HAAR_MOMENTS_THREADS", "")  # empty means unset
+    assert default_threads() >= 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+def test_default_threads_refuses_bad_environment(monkeypatch, value):
+    monkeypatch.setenv("HAAR_MOMENTS_THREADS", value)
+    with pytest.raises(ValueError, match="HAAR_MOMENTS_THREADS"):
+        default_threads()
+    with pytest.raises(ValueError, match="HAAR_MOMENTS_THREADS"):
+        SamplerConfig(n=2, samples=100, seed=1)
+    # an explicit count does not read the variable
+    assert SamplerConfig(n=2, samples=100, seed=1, threads=1).threads == 1
 
 
 def test_config_validation():
@@ -280,3 +315,70 @@ def test_gram_schmidt_orthonormal_on_nearly_dependent_columns(n, c):
         # the first column is still the normalized first Ginibre column
         ref = _lapack_haar(u, count, n, c)
         assert np.max(np.abs(us[:, :, 0] - ref[:, :, 0])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# cache-sized tiles and in-place contractions
+
+@pytest.mark.parametrize("n,c", [(1, 1), (6, 5), (10, 10)])
+def test_haar_batch_tiles_concatenate_bit_for_bit(n, c):
+    # a draw spanning several tiles equals its pieces drawn at their own
+    # offsets, single samples included
+    tile = _TILE_ENTRIES // (n * c)
+    count = 2 * tile + 3
+    start = 5
+    whole = haar_batch(n, count, 77, start=start, cols=c)
+    assert len(list(_haar_tiles(n, count, 77, start, c))) >= 3
+    cuts = [0, 1, 3, 4, tile + 1, count - 1, count]
+    pieces = [haar_batch(n, hi - lo, 77, start=start + lo, cols=c)
+              for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(whole, np.concatenate(pieces))
+
+
+def test_tiles_never_hold_a_single_sample():
+    for entries in (1, 30, 100, 10 ** 4, 10 ** 6):
+        target = max(4, _TILE_ENTRIES // entries)
+        for count in (2, 3, target + 1, 2 * target + 1, 5 * target - 1):
+            bounds = _tile_bounds(count, entries)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == count
+            assert 2 <= sizes.min() and sizes.max() <= target
+
+
+def _contract_out_of_place(u, conj, plain):
+    vals = np.ones(u.shape[2], dtype=np.complex128)
+    for k, i in conj:
+        vals = vals * np.conj(u[k, i])
+    for k, i in plain:
+        vals = vals * u[k, i]
+    return vals
+
+
+@pytest.mark.parametrize("conj,plain", [
+    ([], []), ([(0, 0)], []), ([], [(0, 1)]),
+    ([(0, 0), (1, 2)], [(1, 0), (0, 2)]),
+    ([(2, 1), (0, 3), (1, 1)], [(2, 1), (1, 3), (0, 0)])])
+def test_haar_contraction_matches_out_of_place_reference(conj, plain):
+    slabs = haar_batch(4, 500, 12, start=3, cols=3).T  # (c, n, count)
+    out = np.empty(500, dtype=np.complex128)
+    _haar_contract(slabs, conj, plain, out)
+    assert np.array_equal(out, _contract_out_of_place(slabs, conj, plain))
+
+
+@pytest.mark.parametrize("exponents", [(3, 4), (4, 1, 4), (1, 4, 3),
+                                       (3, 2), (0, 4, 0, 3)])
+def test_sphere_monomial_matches_pow(exponents):
+    n = max(len(exponents), 3)
+    x = sphere_batch(n, 2000, 31, start=4)[:, :len(exponents)]
+    ref = np.prod(x ** np.array(exponents), axis=1)
+    got = _sphere_monomial(x, exponents)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_sphere_estimate_matches_pow_reference():
+    e = (0, 3, 0, 4, 1)
+    cfg = SamplerConfig(n=5, samples=6000, seed=19, chunk=6000)
+    est = estimate_sphere_moment(e, cfg)
+    vals = np.prod(sphere_batch(5, 6000, 19) ** np.array(e), axis=1)
+    # odd exponents cancel: bound the error by the mean size of a value
+    assert abs(est.mean.real - vals.mean()) <= 1e-14 * np.abs(vals).mean()
