@@ -1,22 +1,31 @@
 #!/usr/bin/env python3
 """Timing of the rational-function layer: cold construction of reduced
-closed forms, and the symbolic fold of class counts.
+closed forms, and the folds of class counts into a moment.
 
-Two kinds of case:
+Three kinds of case:
 
 * ``catalog``: every closed form of degree p <= 5 that the matcher can
   answer with (fans, z integrals, x4/x5 loops, the seven degree-3 values),
   each built once.  These are the forms the batch-light corpus uses.
-* ``fold p=7`` .. ``fold p=11``: ``weingarten._fold_symbolic`` over the
-  class counts of the batch-symbolic corpus queries of that degree (the
-  counts are computed first, untimed).  The fold sums the numerator over
-  the common denominator (p!)^2 D_p(n) and reduces it.
+* ``fold p=7`` .. ``fold p=11``: the symbolic fold of the class counts of
+  the batch-symbolic corpus queries of that degree (the counts are computed
+  first, untimed): the counts are folded into shape weights
+  (``weingarten._weights``), and ``weingarten._fold_symbolic`` sums the
+  numerator over the common denominator (p!)^2 D_p(n) and reduces it.
+* ``fold at n p=7`` .. ``fold at n p=9``: the fixed-n fold of the class
+  counts of the batch-heavy corpus queries of that degree, each at its
+  query's n (counts untimed as above): ``weingarten._fold_at`` of the shape
+  weights.
+
+A commit without ``weingarten._weights`` folds per class: it passes the
+counts to ``_fold_symbolic`` itself, and at fixed n sums
+``xi_at(c, n) * count`` over the classes, as its ``moment_at`` does.
 
 Each case runs cold in a fresh interpreter, ``--repeat`` times, so no cache
 filled by an earlier case or run is reused.  The results go to a JSON file
 under a label, one entry per label, so that runs of two commits can share
-one file; a digest of every result's (str, validity_min_n) is stored too,
-so the entries can be checked for equal results.
+one file; a digest of every result (str, and validity_min_n for a rational
+function) is stored too, so the entries can be checked for equal results.
 
 Usage (from the repository root):
   PYTHONPATH=src python3 benchmarks/bench_ratfun.py --label NAME
@@ -32,11 +41,13 @@ import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SEED = 3
-CASES = ["catalog"] + [f"fold p={p}" for p in range(7, 12)]
+CASES = (["catalog"] + [f"fold p={p}" for p in range(7, 12)]
+         + [f"fold at n p={p}" for p in range(7, 10)])
 
 
 def catalog_calls() -> list:
@@ -55,8 +66,8 @@ def catalog_calls() -> list:
     return calls
 
 
-def fold_inputs(p: int) -> list:
-    """Class counts of the batch-symbolic corpus queries of degree p."""
+def fold_inputs(workload: str, p: int) -> list:
+    """(class counts, n) of the corpus queries of degree p."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
     from haarmoments import weingarten
@@ -64,18 +75,35 @@ def fold_inputs(p: int) -> list:
                                      relabel)
 
     out = []
-    for obj in corpus.symbolic(CORPUS_SEED).exact[1:]:
+    for obj in corpus.generate(workload, CORPUS_SEED).exact[1:]:
         q = MomentQuery.from_json_obj(
             {k: v for k, v in obj.items() if k in "nIJKL"})
         m = orient(relabel(canonicalize(q)))
         if m.p == p:
-            out.append(weingarten.class_counts(m.I, m.J, m.Q))
+            out.append((weingarten.class_counts(m.I, m.J, m.Q), q.n))
     return out
+
+
+def folder(at_n: bool, p: int):
+    """The fold of one query's class counts, at its n or symbolic."""
+    from haarmoments import weingarten
+
+    if hasattr(weingarten, "_weights"):
+        if at_n:
+            return lambda c, n: weingarten._fold_at(
+                weingarten._weights(c, p), p, n)
+        return lambda c, n: weingarten._fold_symbolic(
+            weingarten._weights(c, p), p)
+    if at_n:
+        return lambda c, n: sum(
+            (weingarten.xi_at(ct, n) * cnt for ct, cnt in c.items()),
+            Fraction(0))
+    return lambda c, n: weingarten._fold_symbolic(c, p)
 
 
 def run_case(name: str) -> dict:
     """Time one case cold; runs in the child process."""
-    from haarmoments import invariants, weingarten
+    from haarmoments import invariants
 
     if name == "catalog":
         calls = [(getattr(invariants, fn), args) for fn, args in
@@ -85,12 +113,15 @@ def run_case(name: str) -> dict:
         seconds = time.perf_counter() - start
     else:
         p = int(name.split("=")[1])
-        counts = fold_inputs(p)
+        at_n = name.startswith("fold at n")
+        inputs = fold_inputs("batch-heavy" if at_n else "batch-symbolic", p)
+        fold = folder(at_n, p)
         start = time.perf_counter()
-        results = [weingarten._fold_symbolic(c, p) for c in counts]
+        results = [fold(c, n) for c, n in inputs]
         seconds = time.perf_counter() - start
     digest = hashlib.sha256(json.dumps(
-        [[str(rf), rf.validity_min_n] for rf in results]).encode())
+        [[str(r), getattr(r, "validity_min_n", None)] for r in results]
+    ).encode())
     return {"seconds": seconds, "results": len(results),
             "results_sha256": digest.hexdigest()[:16]}
 
@@ -125,15 +156,16 @@ def main() -> None:
             "median_s": statistics.median(seconds), "seconds": seconds,
             "results_sha256": runs[0]["results_sha256"],
         })
-        print(f"{name:<10} {runs[0]['results']:>4} results "
+        print(f"{name:<15} {runs[0]['results']:>4} results "
               f"{statistics.median(seconds) * 1e3:9.2f} ms")
 
     path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {
-        "what": "cold construction of the closed forms of degree <= 5 and "
-                "cold _fold_symbolic over the batch-symbolic corpus (seed "
-                f"{CORPUS_SEED}) class counts, one fresh process per run",
-        "runs": {}}
+    doc = json.loads(path.read_text()) if path.exists() else {"runs": {}}
+    doc["what"] = (
+        "cold construction of the closed forms of degree <= 5, and cold "
+        "folds of class counts: symbolic over the batch-symbolic corpus, at "
+        f"each query's n over the batch-heavy corpus (seed {CORPUS_SEED}); "
+        "one fresh process per run")
     doc["runs"][args.label] = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                  "python": platform.python_version()},

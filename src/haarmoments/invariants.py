@@ -457,17 +457,19 @@ def _match_exchange(wc: Counter, wp: Counter, rows, cols):
     return None
 
 
-_CATALOG_SIGS: dict[tuple, tuple[str, RationalFunction]] = {}
-
-
-def _catalog_signatures():
-    if not _CATALOG_SIGS:
-        for key in DEGREE3_KEYS:
-            cm = canonicalize(degree3_query(key))
-            for variant in (relabel(cm), relabel(transpose(cm))):
-                sig = (variant.I, variant.J, variant.Q)
-                _CATALOG_SIGS.setdefault(sig, (key, degree3(key)))
-    return _CATALOG_SIGS
+@lru_cache(maxsize=None)
+def _catalog_signatures() -> dict[tuple, tuple[str, RationalFunction]]:
+    """(I, J, Q) of relabel(cm) and of relabel(transpose(cm)) for each
+    degree-3 catalog moment cm, to its key and closed form.  Since
+    relabel(transpose(relabel(transpose(m)))) == relabel(m), one lookup of
+    relabel(m) also finds a transposed presentation."""
+    sigs: dict[tuple, tuple[str, RationalFunction]] = {}
+    for key in DEGREE3_KEYS:
+        cm = canonicalize(degree3_query(key))
+        for variant in (relabel(cm), relabel(transpose(cm))):
+            sig = (variant.I, variant.J, variant.Q)
+            sigs.setdefault(sig, (key, degree3(key)))
+    return sigs
 
 
 def match_closed_form(m: CanonicalMoment):
@@ -489,12 +491,8 @@ def match_closed_form(m: CanonicalMoment):
         hit = _match_exchange(conj, plain, rows, cols)
         if hit:
             return hit
-    sigs = _catalog_signatures()
-    for variant in (relabel(m), relabel(transpose(m))):
-        hit = sigs.get((variant.I, variant.J, variant.Q))
-        if hit:
-            return hit
-    return None
+    v = relabel(m)
+    return _catalog_signatures().get((v.I, v.J, v.Q))
 
 
 # ---------------------------------------------------------------------------

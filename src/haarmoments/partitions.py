@@ -103,6 +103,11 @@ def hook_lengths(shape: Partition) -> list[int]:
     ]
 
 
+def contents(shape: Partition) -> list[int]:
+    """The content j - i of each cell (i, j) of ``shape``."""
+    return [j - i for i, row in enumerate(shape) for j in range(row)]
+
+
 @lru_cache(maxsize=None)
 def _hook_product(shape: Partition) -> int:
     out = 1
@@ -125,9 +130,8 @@ def dim_unitary(shape: Partition) -> RationalFunction:
     drop those shapes from fixed-n sums.
     """
     num = Poly((1,))
-    for i, row in enumerate(shape):
-        for j in range(row):
-            num = num * Poly.n_plus(j - i)
+    for c in contents(shape):
+        num = num * Poly.n_plus(c)
     return RationalFunction(num, Poly.const(_hook_product(shape)))
 
 

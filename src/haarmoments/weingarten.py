@@ -13,17 +13,23 @@ the class integral
 over irreps f of the symmetric group (at fixed dimension n, restricted to f
 with at most n rows; symbolically, over all f, valid for n >= p).
 
-Symbolically, (p!)^2 dbar_f = d_f p! P_f(n) where P_f(n) = prod (n + content)
-over the cells of f, so every term shares the denominator (p!)^2 D_p(n) with
-D_p the lcm of the P_f.  The counts are first folded into one weight per shape,
-w_f = sum_c N(c) chi_f(c); the numerator sum_f w_f d_f p! D_p/P_f is then
-summed in integers over that denominator and reduced once, by synthetic
-division with the linear factors n + content of D_p.
+The engine never sums over classes: it folds the counts once into the shape
+weights w_f = sum_c N(c) chi_f(c), a tuple in ``partitions_of(p)`` order, and
+keeps only these per query (``_shape_weights``, the one per-query cache).  The
+moment is then sum_f w_f d_f^2 / ((p!)^2 dbar_f), folded on one of two routes
+with per-shape numerators over a common denominator, in the same order:
 
-At fixed n, P_f(n) is an integer, zero exactly when f has more than n rows,
-and the term is chi_f(c) d_f / (p! P_f(n)).  xi_p(c) is the integer sum
-sum_f chi_f(c) d_f L/P_f(n) over the shapes with at most n rows, L the lcm of
-their P_f(n), divided once by p! L.
+* symbolically, (p!)^2 dbar_f = d_f p! P_f(n) where P_f(n) = prod (n + content)
+  over the cells of f, so every term shares the denominator (p!)^2 D_p(n) with
+  D_p the lcm of the P_f.  ``_fold_symbolic`` sums the numerators
+  w_f d_f p! D_p/P_f in integers over that denominator and reduces once, by
+  synthetic division with the linear factors n + content of D_p.
+* at fixed n, P_f(n) is an integer, zero exactly when f has more than n rows,
+  and the term is w_f d_f / (p! P_f(n)).  ``_fold_at`` sums w_f d_f L/P_f(n)
+  over the shapes with at most n rows, L the lcm of their P_f(n), and divides
+  once by p! L.
+
+A class integral xi_p(c) is the same fold of the characters chi_f(c) alone.
 
 N is not found by enumerating every pair: the composition S∘Q∘R takes each
 element of the double coset S_J·Q·S_I exactly |H| times, H = S_J ∩ Q·S_I·Q⁻¹,
@@ -45,6 +51,7 @@ from .partitions import (
     Partition,
     character,
     compose,
+    contents,
     dim_symmetric,
     partitions_of,
 )
@@ -61,16 +68,32 @@ def backend_name() -> str:
 
 
 # ---------------------------------------------------------------------------
-# class integrals
+# shape weights and the two folds
 
 @lru_cache(maxsize=None)
-def _shape_terms(p: int) -> tuple[Poly, tuple[tuple[Partition, Poly], ...]]:
-    """The common denominator (p!)^2 D_p(n) and, per shape f of p, the
-    numerator d_f p! D_p(n)/P_f(n) of its term d_f^2 / ((p!)^2 dbar_f)."""
+def _characters(ct: Partition) -> tuple[int, ...]:
+    """chi_f(ct) for every shape f, in ``partitions_of(p)`` order."""
+    return tuple(character(f, ct) for f in partitions_of(sum(ct)))
+
+
+def _weights(counts: dict[Partition, int], p: int) -> tuple[int, ...]:
+    """The shape weights w_f = sum_c counts[c] chi_f(c), in
+    ``partitions_of(p)`` order."""
+    w = [0] * len(partitions_of(p))
+    for ct, cnt in counts.items():
+        w = [a + cnt * chi for a, chi in zip(w, _characters(ct))]
+    return tuple(w)
+
+
+@lru_cache(maxsize=None)
+def _shape_terms(p: int) -> tuple[Poly, tuple[Poly, ...]]:
+    """The common denominator (p!)^2 D_p(n) and, per shape f of p in
+    ``partitions_of(p)`` order, the numerator d_f p! D_p(n)/P_f(n) of its
+    term d_f^2 / ((p!)^2 dbar_f)."""
     shapes = partitions_of(p)
-    contents = [Counter(_contents(f)) for f in shapes]
+    cells = [Counter(contents(f)) for f in shapes]
     lcm_factors: Counter[int] = Counter()
-    for c in contents:
+    for c in cells:
         lcm_factors |= c
 
     def times_factors(const: int, factors: Counter) -> Poly:
@@ -81,19 +104,18 @@ def _shape_terms(p: int) -> tuple[Poly, tuple[tuple[Partition, Poly], ...]]:
 
     den = times_factors(factorial(p) ** 2, lcm_factors)
     terms = tuple(
-        (f, times_factors(dim_symmetric(f) * factorial(p), lcm_factors - c))
-        for f, c in zip(shapes, contents)
+        times_factors(dim_symmetric(f) * factorial(p), lcm_factors - c)
+        for f, c in zip(shapes, cells)
     )
     return den, terms
 
 
-def _fold_symbolic(counts: dict[Partition, int], p: int) -> RationalFunction:
-    """sum_c counts[c] * xi_p(c) as one reduced rational function, valid for
-    n >= p."""
+def _fold_symbolic(weights: tuple[int, ...], p: int) -> RationalFunction:
+    """sum_f weights[f] d_f^2 / ((p!)^2 dbar_f) as one reduced rational
+    function, valid for n >= p."""
     den, terms = _shape_terms(p)
     num = [0] * len(den.coeffs)
-    for f, term in terms:
-        w = sum(cnt * character(f, ct) for ct, cnt in counts.items())
+    for w, term in zip(weights, terms):
         if w:
             for k, c in enumerate(term.coeffs):
                 num[k] += w * c
@@ -101,36 +123,39 @@ def _fold_symbolic(counts: dict[Partition, int], p: int) -> RationalFunction:
 
 
 @lru_cache(maxsize=None)
-def xi_symbolic(ct: Partition) -> RationalFunction:
-    """Class integral as a rational function of n, valid for n >= p."""
-    return _fold_symbolic({ct: 1}, sum(ct))
+def _fixed_n_terms(p: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """At dimension n: the common denominator p! L, L the lcm of P_f(n) over
+    the shapes f of p with at most n rows, and per shape f in
+    ``partitions_of(p)`` order the numerator d_f L/P_f(n) of its term
+    d_f^2 / ((p!)^2 dbar_f(n)) = d_f / (p! P_f(n)); 0 for a shape with more
+    than n rows, whose P_f(n) is 0."""
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    shapes = partitions_of(p)
+    values = [prod(n + c for c in contents(f)) for f in shapes]
+    common = lcm(*(v for v in values if v))
+    return factorial(p) * common, tuple(
+        dim_symmetric(f) * (common // v) if v else 0
+        for f, v in zip(shapes, values))
+
+
+def _fold_at(weights: tuple[int, ...], p: int, n: int) -> Fraction:
+    """sum_f weights[f] d_f^2 / ((p!)^2 dbar_f(n)) over the shapes with at
+    most n rows."""
+    den, terms = _fixed_n_terms(p, n)
+    return Fraction(sum(w * t for w, t in zip(weights, terms)), den)
 
 
 @lru_cache(maxsize=None)
-def _fixed_n_terms(
-        p: int, n: int) -> tuple[int, tuple[tuple[Partition, int], ...]]:
-    """At dimension n: the common denominator p! L, L the lcm of P_f(n) over
-    the shapes f of p with at most n rows, and per such f the numerator
-    d_f L/P_f(n) of its term d_f^2 / ((p!)^2 dbar_f(n)) = d_f / (p! P_f(n))."""
-    shapes = [f for f in partitions_of(p) if len(f) <= n]
-    values = [prod(n + c for c in _contents(f)) for f in shapes]
-    common = lcm(*values)
-    return factorial(p) * common, tuple(
-        (f, dim_symmetric(f) * (common // v)) for f, v in zip(shapes, values))
+def xi_symbolic(ct: Partition) -> RationalFunction:
+    """Class integral as a rational function of n, valid for n >= p."""
+    return _fold_symbolic(_characters(ct), sum(ct))
 
 
 @lru_cache(maxsize=None)
 def xi_at(ct: Partition, n: int) -> Fraction:
     """Class integral at fixed dimension; shapes with more than n rows drop."""
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    den, terms = _fixed_n_terms(sum(ct), n)
-    return Fraction(sum(character(f, ct) * w for f, w in terms), den)
-
-
-def _contents(f: Partition) -> list[int]:
-    """The content j - i of each cell (i, j) of f."""
-    return [j - i for i, row in enumerate(f) for j in range(row)]
+    return _fold_at(_characters(ct), sum(ct), n)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +164,12 @@ def _contents(f: Partition) -> list[int]:
 def pair_count(m: CanonicalMoment) -> int:
     """Size of the raw stabilizer pair sum, |S_I|·|S_J|; PAIR_CAP applies to
     it.  The engine composes |S_I|·|S_J|/|H| of these pairs (see
-    ``_class_counts_cached``)."""
+    ``class_counts``)."""
     return stabilizer(m.I).order * stabilizer(m.J).order
 
 
-@lru_cache(maxsize=4096)
-def _class_counts_cached(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
+def class_counts(I, J, Q) -> dict[Partition, int]:
+    """Counts, by cycle type of S∘Q∘R, of stabilizer pairs (R, S)."""
     p = len(I)
     GI = stabilizer(I)
     GJ = stabilizer(J)
@@ -171,9 +196,10 @@ def _class_counts_cached(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
     return {ct: c * weight for ct, c in counts.items()}
 
 
-def class_counts(I, J, Q) -> dict[Partition, int]:
-    """Counts, by cycle type of S∘Q∘R, of stabilizer pairs (R, S)."""
-    return dict(_class_counts_cached(tuple(I), tuple(J), tuple(Q)))
+@lru_cache(maxsize=4096)
+def _shape_weights(I: tuple, J: tuple, Q: tuple) -> tuple[int, ...]:
+    """The shape weights of <I,J | I,J_Q>, keyed on its oriented form."""
+    return _weights(class_counts(I, J, Q), len(I))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +211,7 @@ def moment_symbolic(m: CanonicalMoment) -> RationalFunction:
     if m.p == 0:
         return RationalFunction.one()
     m = orient(relabel(m))
-    return _fold_symbolic(_class_counts_cached(m.I, m.J, m.Q), m.p)
+    return _fold_symbolic(_shape_weights(m.I, m.J, m.Q), m.p)
 
 
 def moment_at(m: CanonicalMoment, n: int | None = None) -> Fraction:
@@ -196,10 +222,7 @@ def moment_at(m: CanonicalMoment, n: int | None = None) -> Fraction:
     if m.p == 0:
         return Fraction(1)
     m = orient(relabel(m))
-    counts = _class_counts_cached(m.I, m.J, m.Q)
-    return sum(
-        (xi_at(ct, n) * cnt for ct, cnt in counts.items()), Fraction(0)
-    )
+    return _fold_at(_shape_weights(m.I, m.J, m.Q), m.p, n)
 
 
 def evaluate(q: MomentQuery, symbolic: bool = False):

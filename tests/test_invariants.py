@@ -209,12 +209,19 @@ def test_matcher_is_sound_on_random_queries():
 
 
 def test_matcher_respects_transposed_catalog_entries():
-    key = "6e"
-    base = invariants.degree3_query(key)
-    flipped = MomentQuery.make(base.n, base.J, base.I, base.L, base.K)
-    hit = invariants.match_closed_form(canonicalize(flipped))
-    assert hit is not None
-    assert hit[1] == invariants.degree3(key)
+    # every catalog moment transposed, with its rows and columns renamed so
+    # that neither keeps its order of first appearance
+    for key in invariants.DEGREE3_KEYS:
+        base = invariants.degree3_query(key)
+        n = base.n
+        rows = {v: v % n + 1 for v in range(1, n + 1)}
+        cols = {v: n + 1 - v for v in range(1, n + 1)}
+        flipped = MomentQuery.make(
+            n, [cols[v] for v in base.J], [rows[v] for v in base.I],
+            [cols[v] for v in base.L], [rows[v] for v in base.K])
+        hit = invariants.match_closed_form(canonicalize(flipped))
+        assert hit is not None, key
+        assert hit[1] == invariants.degree3(key), key
 
 
 def test_moment_labels_the_route():

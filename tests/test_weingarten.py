@@ -231,6 +231,26 @@ def test_symbolic_matches_fixed_n_property(q):
         assert sym.eval_at(n) == weingarten.moment_at(m, n), n
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_group_queries())
+def test_fixed_n_matches_row_restricted_class_sum_property(q):
+    # the class-by-class sum sum_c N_c xi_n(c), with xi_n built here from
+    # the defining sum over shapes of at most n rows; n < p is below the
+    # symbolic validity floor
+    m = canonicalize(q)
+    counts = weingarten.class_counts(m.I, m.J, m.Q)
+    fact_sq = factorial(m.p) ** 2
+    for n in range(1, m.p + 3):
+        want = Fraction(0)
+        for ct, cnt in counts.items():
+            for f in partitions_of(m.p):
+                if len(f) <= n:
+                    want += Fraction(
+                        cnt * dim_symmetric(f) ** 2 * character(f, ct),
+                        fact_sq) / dim_unitary_at(f, n)
+        assert weingarten.moment_at(m, n) == want, n
+
+
 def _random_perms(rng, count, p):
     out = []
     for _ in range(count):
