@@ -33,14 +33,6 @@ from .ratfun import Poly, RationalFunction
 XWeights = tuple[int, int, int, int, int, int, int, int]
 
 
-def _ratio(num: Poly, shifts, validity: int) -> RationalFunction:
-    """num / prod(n + k for k in shifts)."""
-    den = Poly((1,))
-    for k in shifts:
-        den = den * Poly.n_plus(k)
-    return RationalFunction(num, den, validity)
-
-
 # ---------------------------------------------------------------------------
 # fans
 
@@ -54,7 +46,7 @@ def fan(ms: tuple[int, ...]) -> RationalFunction:
     num = 1
     for m in ms:
         num *= factorial(m)
-    return _ratio(Poly.const(num), range(p), 1)
+    return RationalFunction.over_linear(Poly.const(num), range(p), 1)
 
 
 def fan_query(ms: Sequence[int], n: int | None = None,
@@ -94,7 +86,7 @@ def z_integral(m1: int, m2: int, m3: int) -> RationalFunction:
     shifts = Counter(j - 1 for j in range(m3)) + Counter(range(p))
     shifts -= Counter(m1 - 1 + j for j in range(m3))
     num = factorial(m1) * factorial(m2) * factorial(m3)
-    return _ratio(Poly.const(num), shifts.elements(), 2)
+    return RationalFunction.over_linear(Poly.const(num), shifts.elements(), 2)
 
 
 def z_query(m1: int, m2: int, m3: int, n: int | None = None) -> MomentQuery:
@@ -113,7 +105,7 @@ def exchange_e2() -> RationalFunction:
     Internally confirms that the two derivation routes (column rotation and
     unitarity sum) reduce to the same function before returning it.
     """
-    out = _ratio(Poly.const(-1), (-1, 0, 1), 2)
+    out = RationalFunction.over_linear(Poly.const(-1), (-1, 0, 1), 2)
     if not (out == exchange_e2_by_rotation() == exchange_e2_by_unitarity()):
         raise AssertionError("exchange-moment routes disagree")
     return out
@@ -126,7 +118,7 @@ def exchange_e2_by_rotation() -> RationalFunction:
 
 def exchange_e2_by_unitarity() -> RationalFunction:
     """E(2) = -F(1,1)/(n-1), the unitarity-sum route."""
-    return (-fan((1, 1)) / RationalFunction(Poly.n_plus(-1), Poly((1,)))
+    return (-fan((1, 1)) / RationalFunction.over_linear(Poly.n_plus(-1), ())
             ).with_validity(2)
 
 
@@ -169,7 +161,7 @@ def degree3(key: str) -> RationalFunction:
         num, den_shifts, validity = _D3_FORMS[key]
     except KeyError:
         raise ValueError(f"unknown degree-3 integral {key!r}") from None
-    return _ratio(num, den_shifts, validity)
+    return RationalFunction.over_linear(num, den_shifts, validity)
 
 
 def degree3_query(key: str, n: int | None = None) -> MomentQuery:
@@ -221,7 +213,8 @@ def x_special(variant: str, t: int, u: int) -> RationalFunction:
         num = -factorial(t + 1) * factorial(u)
     else:
         raise ValueError(f"unknown x variant {variant!r}")
-    return _ratio(Poly.const(num), range(-1, t + u + 1), 2)
+    return RationalFunction.over_linear(Poly.const(num), range(-1, t + u + 1),
+                                        2)
 
 
 def x_special_weights(variant: str, t: int, u: int) -> XWeights:
@@ -261,7 +254,7 @@ def _sym(q: MomentQuery) -> RationalFunction:
 
 def _linear(k: int) -> RationalFunction:
     """The polynomial n + k as a rational function."""
-    return RationalFunction(Poly.n_plus(k), Poly((1,)))
+    return RationalFunction.over_linear(Poly.n_plus(k), ())
 
 
 def fanned_z_query(m1: int, m2: int, m3: int, split: int,

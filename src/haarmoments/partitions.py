@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .ratfun import Poly, RationalFunction
+from .ratfun import Poly, RationalFunction, expand
 
 Partition = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -129,10 +129,8 @@ def dim_unitary(shape: Partition) -> RationalFunction:
     At integer n below the number of rows the value is 0, which callers use to
     drop those shapes from fixed-n sums.
     """
-    num = Poly((1,))
-    for c in contents(shape):
-        num = num * Poly.n_plus(c)
-    return RationalFunction(num, Poly.const(_hook_product(shape)))
+    return RationalFunction.over_linear(Poly(expand(1, contents(shape))), (),
+                                        const=_hook_product(shape))
 
 
 def dim_unitary_at(shape: Partition, n: int) -> Fraction:

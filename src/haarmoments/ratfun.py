@@ -10,8 +10,15 @@ function.  A ratio is held in a unique reduced form: each factor n + k of the
 denominator that also divides the numerator is cancelled by synthetic
 division (any common factor of the two must be one of them, so the result is
 in lowest terms), the numerator and denominator share no integer content,
-and the denominator's leading coefficient is positive.  A denominator with a
-root that is not an integer is refused with ValueError.
+and the denominator's leading coefficient is positive.
+
+This module is the one place that multiplies c * prod(n + k) out
+(``expand``).  A caller that knows its denominator's linear factors passes
+them to ``RationalFunction.over_linear``, and the ratio is reduced against
+them directly.  Only a denominator that arrives as a polynomial — the
+``RationalFunction(num, den)`` constructor, and so the arithmetic operators —
+is split by a search for its integer roots; one with a root that is not an
+integer is refused with ValueError.
 
 A ratio also carries ``validity_min_n``, the smallest integer n at which the
 expression is asserted to equal the quantity it stands for — denominators
@@ -179,9 +186,20 @@ def _linear_factors(den: Poly) -> tuple[int, list[int]]:
     return cs[0], shifts
 
 
+def expand(const: int, shifts: Iterable[int]) -> list[int]:
+    """Coefficients, lowest power first, of const * prod(n + k for k in
+    shifts)."""
+    out = [const]
+    for k in shifts:
+        out = [a + k * b for a, b in zip([0] + out, out + [0])]
+    return out
+
+
 def _reduced(num: Poly, const: int, shifts: Iterable[int]) -> tuple[Poly, Poly]:
     """num / (const * prod(n + k)) in lowest terms, denominator positive."""
     cs = list(num.coeffs)
+    if not cs:
+        return num, Poly((1,))
     left = []
     for k, m in Counter(shifts).items():
         while m and len(cs) > 1:
@@ -191,10 +209,7 @@ def _reduced(num: Poly, const: int, shifts: Iterable[int]) -> tuple[Poly, Poly]:
             cs, m = q, m - 1
         left += [k] * m
     g = gcd(const, *cs) if const > 0 else -gcd(const, *cs)
-    den = [const // g]
-    for k in left:
-        den = [a + k * b for a, b in zip([0] + den, den + [0])]
-    return Poly(c // g for c in cs), Poly(den)
+    return Poly(c // g for c in cs), Poly(expand(const // g, left))
 
 
 class RationalFunction:
@@ -211,23 +226,41 @@ class RationalFunction:
         self.validity_min_n = validity_min_n
 
     @classmethod
+    def over_linear(cls, num: Poly, shifts: Iterable[int],
+                    validity_min_n: int = 0, const: int = 1) -> "RationalFunction":
+        """num / (const * prod(n + k for k in shifts)), reduced against those
+        factors without searching for them."""
+        if const == 0:
+            raise ZeroDivisionError("zero denominator")
+        return cls._of_reduced(*_reduced(num, const, shifts), validity_min_n)
+
+    @classmethod
+    def _of_reduced(cls, num: Poly, den: Poly,
+                    validity_min_n: int) -> "RationalFunction":
+        """Wrap a pair that is already in reduced form."""
+        out = cls.__new__(cls)
+        out.num, out.den, out.validity_min_n = num, den, validity_min_n
+        return out
+
+    @classmethod
     def from_fraction(cls, q: Scalar, validity_min_n: int = 0) -> "RationalFunction":
         q = Fraction(q)
-        return cls(Poly.const(q.numerator), Poly.const(q.denominator), validity_min_n)
+        return cls.over_linear(Poly.const(q.numerator), (), validity_min_n,
+                               q.denominator)
 
     @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls(Poly(()), Poly((1,)))
+        return cls.over_linear(Poly(()), ())
 
     @classmethod
     def one(cls) -> "RationalFunction":
-        return cls(Poly((1,)), Poly((1,)))
+        return cls.over_linear(Poly((1,)), ())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def with_validity(self, v: int) -> "RationalFunction":
-        return RationalFunction(self.num, self.den, v)
+        return RationalFunction._of_reduced(self.num, self.den, v)
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -235,7 +268,7 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             return RationalFunction.from_fraction(other)
         if isinstance(other, Poly):
-            return RationalFunction(other, Poly((1,)))
+            return RationalFunction.over_linear(other, ())
         return NotImplemented
 
     def __add__(self, other) -> "RationalFunction":
@@ -248,7 +281,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den, self.validity_min_n)
+        return RationalFunction._of_reduced(-self.num, self.den,
+                                            self.validity_min_n)
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))

@@ -34,11 +34,9 @@ def s_single_symbolic(p: int) -> RationalFunction:
     if p < 0:
         raise ValueError("p must be non-negative")
     num = 1
-    den = Poly((1,))
     for k in range(1, p + 1):
         num *= 2 * k - 1
-        den = den * Poly.n_plus(2 * k - 2)
-    return RationalFunction(Poly.const(num), den, 1)
+    return RationalFunction.over_linear(Poly.const(num), range(0, 2 * p, 2), 1)
 
 
 def s_multi(ms: Sequence[int], n: int) -> Fraction:

@@ -56,7 +56,7 @@ from .partitions import (
     partitions_of,
 )
 from .queries import CanonicalMoment, MomentQuery, canonicalize, orient, relabel
-from .ratfun import Poly, RationalFunction
+from .ratfun import Poly, RationalFunction, expand
 from .stabilizer import stabilizer
 
 PAIR_CAP = 10**8
@@ -86,43 +86,36 @@ def _weights(counts: dict[Partition, int], p: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _shape_terms(p: int) -> tuple[Poly, tuple[Poly, ...]]:
-    """The common denominator (p!)^2 D_p(n) and, per shape f of p in
-    ``partitions_of(p)`` order, the numerator d_f p! D_p(n)/P_f(n) of its
-    term d_f^2 / ((p!)^2 dbar_f)."""
+def _shape_terms(p: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The shifts k of D_p(n) = prod(n + k) and, per shape f of p in
+    ``partitions_of(p)`` order, the coefficients of the numerator
+    d_f p! D_p(n)/P_f(n) of its term d_f^2 / ((p!)^2 dbar_f)."""
     shapes = partitions_of(p)
     cells = [Counter(contents(f)) for f in shapes]
     lcm_factors: Counter[int] = Counter()
     for c in cells:
         lcm_factors |= c
-
-    def times_factors(const: int, factors: Counter) -> Poly:
-        out = Poly.const(const)
-        for k in factors.elements():
-            out = out * Poly.n_plus(k)
-        return out
-
-    den = times_factors(factorial(p) ** 2, lcm_factors)
     terms = tuple(
-        times_factors(dim_symmetric(f) * factorial(p), lcm_factors - c)
+        tuple(expand(dim_symmetric(f) * factorial(p),
+                     (lcm_factors - c).elements()))
         for f, c in zip(shapes, cells)
     )
-    return den, terms
+    return tuple(lcm_factors.elements()), terms
 
 
 def _fold_symbolic(weights: tuple[int, ...], p: int) -> RationalFunction:
     """sum_f weights[f] d_f^2 / ((p!)^2 dbar_f) as one reduced rational
     function, valid for n >= p."""
-    den, terms = _shape_terms(p)
-    num = [0] * len(den.coeffs)
+    shifts, terms = _shape_terms(p)
+    num = [0] * (len(shifts) + 1)
     for w, term in zip(weights, terms):
         if w:
-            for k, c in enumerate(term.coeffs):
+            for k, c in enumerate(term):
                 num[k] += w * c
-    return RationalFunction(Poly(num), den, p)
+    return RationalFunction.over_linear(Poly(num), shifts, p, factorial(p) ** 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _fixed_n_terms(p: int, n: int) -> tuple[int, tuple[int, ...]]:
     """At dimension n: the common denominator p! L, L the lcm of P_f(n) over
     the shapes f of p with at most n rows, and per shape f in
@@ -152,7 +145,7 @@ def xi_symbolic(ct: Partition) -> RationalFunction:
     return _fold_symbolic(_characters(ct), sum(ct))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def xi_at(ct: Partition, n: int) -> Fraction:
     """Class integral at fixed dimension; shapes with more than n rows drop."""
     return _fold_at(_characters(ct), sum(ct), n)

@@ -96,6 +96,21 @@ def test_xi_fixed_n_row_restriction():
                 assert weingarten.xi_at(ct, n) == want, (ct, n)
 
 
+def test_fixed_n_caches_are_bounded():
+    # a batch may ask for a fresh n on every line
+    ct = (2, 1)
+    weingarten.xi_at.cache_clear()
+    weingarten._fixed_n_terms.cache_clear()
+    before = [weingarten.xi_at(ct, n) for n in range(1, 9)]
+    for n in range(1, 5001):
+        weingarten.xi_at(ct, n)
+    assert weingarten.xi_at.cache_info().currsize <= 4096
+    assert weingarten._fixed_n_terms.cache_info().currsize <= 4096
+    assert [weingarten.xi_at(ct, n) for n in range(1, 9)] == before
+    assert before[2:] == [Fraction(-1, (n - 2) * (n - 1) * (n + 1) * (n + 2))
+                          for n in range(3, 9)]
+
+
 def test_class_counts_trivial_stabilizers():
     counts = weingarten.class_counts((1, 2), (1, 2), (0, 1))
     assert counts == {(1, 1): 1}
