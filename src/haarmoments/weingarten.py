@@ -31,13 +31,25 @@ with per-shape numerators over a common denominator, in the same order:
 
 A class integral xi_p(c) is the same fold of the characters chi_f(c) alone.
 
-N is not found by enumerating every pair: the composition S∘Q∘R takes each
-element of the double coset S_J·Q·S_I exactly |H| times, H = S_J ∩ Q·S_I·Q⁻¹,
-so the engine composes each element once and weights its class by |H|.  The
-cycle types are counted by ``_counting``: a tile at a time in numpy, or by a
-tuple loop for small products.  Queries whose raw pair sum |S_I|·|S_J|
-exceeds PAIR_CAP are refused; Monte Carlo estimation is the intended tool
-there.
+The weights are found on one of two routes, never by enumerating every
+pair, and both give the same integers:
+
+* compositions: S∘Q∘R takes each element of the double coset S_J·Q·S_I
+  exactly |H| times, H = S_J ∩ Q·S_I·Q⁻¹, so the engine composes each
+  element once, weights its class by |H| and folds the class counts with
+  the characters.  The cycle types are counted by ``_counting``: a tile at a
+  time in numpy, or by a tuple loop for small products.
+* tabloids: Young's rule gives w_f from counts of nu-tabloids, for the
+  shapes nu that dominate the block shapes of both I and J (``_tabloids``).
+  No character is needed.
+
+``_shape_weights`` takes the route with the smaller estimated cost, in
+compositions: |S_I|·|S_J|/|H| for the first, and for the second
+``_tabloids.TABLOID_WEIGHT`` times the number of tabloids, which depends on
+the block shapes alone.  A query whose cheaper route still costs more than
+PAIR_CAP is refused; Monte Carlo estimation is the intended tool there.
+``class_counts``, the public enumeration, keeps its own cap on the raw pair
+sum |S_I|·|S_J|.
 """
 from __future__ import annotations
 
@@ -46,6 +58,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
+from . import _tabloids
 from ._counting import count_compositions
 from .partitions import (
     Partition,
@@ -152,34 +165,42 @@ def xi_at(ct: Partition, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# stabilizer pair counts
+# stabilizer pair counts and the two routes to the shape weights
 
 def pair_count(m: CanonicalMoment) -> int:
-    """Size of the raw stabilizer pair sum, |S_I|·|S_J|; PAIR_CAP applies to
-    it.  The engine composes |S_I|·|S_J|/|H| of these pairs (see
-    ``class_counts``)."""
+    """Size of the raw stabilizer pair sum, |S_I|·|S_J|; ``class_counts``
+    caps it.  The engine composes |S_I|·|S_J|/|H| of these pairs, or counts
+    tabloids instead (see ``_shape_weights``)."""
     return stabilizer(m.I).order * stabilizer(m.J).order
 
 
 def class_counts(I, J, Q) -> dict[Partition, int]:
     """Counts, by cycle type of S∘Q∘R, of stabilizer pairs (R, S)."""
-    p = len(I)
-    GI = stabilizer(I)
-    GJ = stabilizer(J)
+    GI, GJ, reps = _double_coset(I, J, Q)
     total = GI.order * GJ.order
     if total > PAIR_CAP:
         raise ValueError(
             f"stabilizer double sum has {total} terms (cap {PAIR_CAP}); "
             "use Monte Carlo estimation for this query"
         )
+    return _enumerate(GI, GJ, reps, Q)
 
-    # S∘Q∘R == S'∘Q∘R' exactly when R'∘R⁻¹ lies in H' = S_I ∩ Q⁻¹·S_J·Q, the
-    # subgroup of S_I that also fixes x -> J[Q[x]].  So S over S_J and R over
-    # one element of each right coset H'∘R give every element of S_J·Q·S_I
-    # once, and each stands for |H'| pairs.
-    reps = GI.cosets([J[Q[x]] for x in range(p)])
+
+def _double_coset(I, J, Q):
+    """S_I, S_J and one R from each right coset H'∘R in S_I.
+
+    S∘Q∘R == S'∘Q∘R' exactly when R'∘R⁻¹ lies in H' = S_I ∩ Q⁻¹·S_J·Q, the
+    subgroup of S_I that also fixes x -> J[Q[x]].  So S over S_J and R over
+    the representatives give every element of S_J·Q·S_I once, and each
+    stands for |H'| pairs."""
+    GI = stabilizer(I)
+    return GI, stabilizer(J), GI.cosets([J[Q[x]] for x in range(len(I))])
+
+
+def _enumerate(GI, GJ, reps, Q) -> dict[Partition, int]:
+    """Class counts of the stabilizer pairs, one composition per element of
+    the double coset, each weighted by |H'|."""
     weight = GI.order // reps.order
-
     # Hold the smaller factor, stream the larger.  Streaming R against held
     # S∘Q composes R∘S∘Q, a conjugate of S∘Q∘R with the same cycle type.
     if reps.order <= GJ.order:
@@ -189,10 +210,33 @@ def class_counts(I, J, Q) -> dict[Partition, int]:
     return {ct: c * weight for ct, c in counts.items()}
 
 
+def _costs(GI, GJ, reps) -> tuple[int, int]:
+    """The work of the two routes, in compositions: the double coset's size
+    |S_I|·|S_J|/|H|, and the tabloid route's estimate, summed only until it
+    passes the smaller of that size and PAIR_CAP, which is all the choice
+    needs.  Both depend on block sizes and |H| alone."""
+    compositions = reps.order * GJ.order
+    return compositions, _tabloids.cost(GI.shape, GJ.shape,
+                                        min(compositions, PAIR_CAP))
+
+
 @lru_cache(maxsize=4096)
 def _shape_weights(I: tuple, J: tuple, Q: tuple) -> tuple[int, ...]:
-    """The shape weights of <I,J | I,J_Q>, keyed on its oriented form."""
-    return _weights(class_counts(I, J, Q), len(I))
+    """The shape weights of <I,J | I,J_Q>, keyed on its oriented form, by
+    the cheaper route; refused when both cost more than PAIR_CAP."""
+    GI, GJ, reps = _double_coset(I, J, Q)
+    compositions, tabloids = _costs(GI, GJ, reps)
+    if min(compositions, tabloids) > PAIR_CAP:
+        raise ValueError(
+            f"shape weights cost {min(compositions, tabloids)} compositions "
+            f"or their worth in tabloids (cap {PAIR_CAP}); "
+            "use Monte Carlo estimation for this query"
+        )
+    p = len(I)
+    if tabloids < compositions:
+        weights = _tabloids.shape_weights(I, J, Q)
+        return tuple(weights.get(f, 0) for f in partitions_of(p))
+    return _weights(_enumerate(GI, GJ, reps, Q), p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """Group-theoretic moment engine: class integrals, pair counts, moments."""
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from haarmoments import _counting, weingarten
+from haarmoments import _counting, _tabloids, invariants, weingarten
 from haarmoments.partitions import (character, compose, cycle_type,
                                     dim_symmetric, dim_unitary_at,
                                     hook_lengths, partitions_of)
@@ -356,3 +357,175 @@ def test_moment_at_accepts_canonical_directly():
     q = MomentQuery.make(3, (1, 2), (1, 2), (2, 1), (2, 1))
     m = canonicalize(q)
     assert weingarten.moment_at(m, 3) == weingarten.evaluate(q)
+
+
+# ---------------------------------------------------------------------------
+# shape weights by Young's rule (the tabloid route)
+
+def _tabloid_weights(I, J, Q):
+    w = _tabloids.shape_weights(I, J, Q)
+    assert set(w) <= set(partitions_of(len(I)))
+    return tuple(w.get(f, 0) for f in partitions_of(len(I)))
+
+
+def _route(I, J, Q):
+    compositions, tabloids = weingarten._costs(
+        *weingarten._double_coset(I, J, Q))
+    return "tabloids" if tabloids < compositions else "compositions"
+
+
+@st.composite
+def _weight_triples(draw):
+    p = draw(st.integers(1, 8))
+    labels = st.integers(1, draw(st.integers(1, p)))
+    I = draw(st.lists(labels, min_size=p, max_size=p))
+    J = draw(st.lists(labels, min_size=p, max_size=p))
+    Q = draw(st.permutations(range(p)))
+    return tuple(I), tuple(J), tuple(Q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(_weight_triples())
+def test_tabloid_route_matches_enumeration_property(triple):
+    I, J, Q = triple
+    compositions, tabloids = weingarten._costs(
+        *weingarten._double_coset(I, J, Q))
+    assume(compositions <= 50000 and tabloids <= 500000)
+    want = weingarten._weights(weingarten.class_counts(I, J, Q), len(I))
+    assert _tabloid_weights(I, J, Q) == want
+
+
+def test_tabloid_route_matches_enumeration_on_heavy_shapes():
+    # block shapes of the benchmark's batch-heavy slots, with random
+    # matchings; trivial and nontrivial H alike
+    rng = random.Random(11)
+    shapes = [((3, 3, 3), (3, 3, 3)), ((4, 4, 1), (3, 2, 2, 2)),
+              ((7, 1, 1), (2, 2, 1, 1, 1, 1, 1)), ((5, 2), (4, 2, 1)),
+              ((6, 3), (3, 2, 2, 1, 1)), ((5, 3, 1), (4, 3, 2))]
+    for a, b in shapes:
+        I = tuple(k for k, m in enumerate(a) for _ in range(m))
+        J = [k for k, m in enumerate(b) for _ in range(m)]
+        rng.shuffle(J)
+        Q = tuple(rng.sample(range(len(I)), len(I)))
+        want = weingarten._weights(
+            weingarten.class_counts(I, tuple(J), Q), len(I))
+        assert _tabloid_weights(I, tuple(J), Q) == want, (a, b)
+
+
+def _dominates(f, g):
+    fs = list(itertools.accumulate(f + (0,) * len(g)))
+    gs = list(itertools.accumulate(g + (0,) * len(f)))
+    return all(x >= y for x, y in zip(fs, gs))
+
+
+def _contingency_tables(rows, cols):
+    """The number of nonnegative integer matrices with these margins."""
+    if not rows:
+        return int(not any(cols))
+    total = 0
+    for first in itertools.product(*(range(c + 1) for c in cols)):
+        if sum(first) == rows[0]:
+            total += _contingency_tables(
+                rows[1:], tuple(c - x for c, x in zip(cols, first)))
+    return total
+
+
+def test_kostka_numbers():
+    for p in range(1, 8):
+        shapes = partitions_of(p)
+        for f in shapes:
+            assert _tabloids.kostka(f, (1,) * p) == dim_symmetric(f)
+            assert _tabloids.kostka(f, f) == 1
+            for nu in shapes:
+                k = _tabloids.kostka(f, nu)
+                assert (k > 0) == _dominates(f, nu), (f, nu)
+        # RSK: pairs of semistandard tableaux of one shape with contents
+        # mu and nu are the integer matrices with margins mu and nu
+        for mu in shapes:
+            for nu in shapes:
+                assert sum(_tabloids.kostka(f, mu) * _tabloids.kostka(f, nu)
+                           for f in shapes) == _contingency_tables(mu, nu)
+
+
+def test_dominating_generates_the_common_up_set():
+    for p in range(1, 10):
+        shapes = partitions_of(p)
+        for a in shapes:
+            for b in shapes[::3]:
+                want = [f for f in shapes
+                        if _dominates(f, a) and _dominates(f, b)]
+                assert list(_tabloids.dominating(a, b)) == want, (a, b)
+
+
+def test_route_choice_by_cost(monkeypatch):
+    # a batch-heavy slot, (6,3) x (3,2,2,1,1) with |H| = 4: 25,920
+    # compositions against 130 tabloids
+    I = (1,) * 6 + (2,) * 3
+    J = (1, 2, 1, 3, 4, 2, 1, 5, 3)
+    Q = tuple(range(9))
+    assert _route(I, J, Q) == "tabloids"
+    # a batch-symbolic slot, (3,2,1,1) x (2,2,2,1): at most 576 compositions
+    # and a wide dominance up-set
+    assert _route((1, 1, 1, 2, 2, 3, 4), (1, 1, 2, 2, 3, 3, 4),
+                  (6, 0, 1, 2, 3, 4, 5)) == "compositions"
+    # the engine follows the choice
+    want = weingarten._weights(weingarten.class_counts(I, J, Q), 9)
+
+    def refuse(*args):
+        raise AssertionError("the enumeration ran")
+
+    weingarten._shape_weights.cache_clear()
+    monkeypatch.setattr(weingarten, "_enumerate", refuse)
+    assert weingarten._shape_weights(I, J, Q) == want
+    weingarten._shape_weights.cache_clear()
+
+
+def test_single_row_moments_above_the_raw_pair_cap():
+    # one row against p columns: |S_I| = p!, so the raw pair sum passes
+    # PAIR_CAP, while (p) is the only shape that dominates (p)
+    for ms in ((5, 5), (4, 4, 3), (6, 3, 2, 1)):
+        m = canonicalize(invariants.fan_query(ms))
+        assert weingarten.pair_count(m) > weingarten.PAIR_CAP
+        with pytest.raises(ValueError, match="use Monte Carlo"):
+            weingarten.class_counts(m.I, m.J, m.Q)
+        want = invariants.fan(ms)
+        for n in (len(ms), len(ms) + 1, m.p, m.p + 2):
+            q = invariants.fan_query(ms, n)
+            assert invariants.moment(q, "group") == (want.eval_at(n),
+                                                     "group"), (ms, n)
+    assert invariants.moment(invariants.fan_query((5, 5), 3), "group") == (
+        Fraction(1, 16632), "group")
+    got, _ = invariants.moment(invariants.fan_query((5, 5)), "group",
+                               symbolic=True)
+    assert got == invariants.fan((5, 5))
+
+
+def test_one_row_against_distinct_columns_takes_the_tabloid_route():
+    # I = 1^9, J all distinct: 362,880 compositions, one tabloid
+    ms = (1,) * 9
+    m = canonicalize(invariants.fan_query(ms))
+    assert _route(m.I, m.J, m.Q) == "tabloids"
+    for n in (9, 12):
+        assert invariants.moment(invariants.fan_query(ms, n), "group") == (
+            invariants.fan(ms).eval_at(n), "group")
+
+
+def test_query_too_costly_for_both_routes_is_refused_at_once(monkeypatch):
+    # blocks of 5 against columns that repeat once per block: 1.2e10
+    # tabloids against 120^4 compositions
+    I = tuple(sorted((1, 2, 3, 4) * 5))
+    J = (1, 2, 3, 4, 5) * 4
+    Q = tuple(range(20))
+    compositions, tabloids = weingarten._costs(
+        *weingarten._double_coset(I, J, Q))
+    assert min(compositions, tabloids) > weingarten.PAIR_CAP
+
+    def refuse(*args):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(weingarten, "_enumerate", refuse)
+    monkeypatch.setattr(_tabloids, "shape_weights", refuse)
+    q = MomentQuery.make(20, I, J, I, J)
+    for symbolic in (False, True):
+        with pytest.raises(ValueError, match="use Monte Carlo"):
+            invariants.moment(q, "group", symbolic)
