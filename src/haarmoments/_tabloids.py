@@ -12,6 +12,9 @@ of the Specht module S^f have dimension K_{f,mu_I}, mu_I the block sizes of
 I, so w_f = 0 unless f dominates both mu_I and mu_J.  On that set F the
 Kostka matrix is unitriangular in dominance order, and back-substitution in
 decreasing lexicographic order gives w_f from the R_nu, nu in F, exactly.
+The column K_{.,nu} is the Schur expansion of h_nu
+(``partitions.schur_expansion``), the same cached routine that gives the
+characters.
 
 R_nu itself is a count of tabloids.  Give a tabloid t its table A (points of
 each I-block in each row), its table B over the labels J[x] and its table
@@ -37,7 +40,7 @@ from itertools import accumulate
 from math import factorial, prod
 from typing import Iterator, Sequence
 
-from .partitions import Partition
+from .partitions import Partition, schur_expansion
 
 # One nu-tabloid of the estimate, in double-coset compositions.  Timed on the
 # 25 batch-heavy keys (p = 7..9), both routes warm, in one process on a
@@ -69,37 +72,6 @@ def dominating(a: Partition, b: Partition) -> Iterator[Partition]:
     return gen([], 0, p)
 
 
-@lru_cache(maxsize=None)
-def kostka(shape: Partition, content: Partition) -> int:
-    """K_{shape,content}: the number of semistandard tableaux of ``shape``
-    with ``content``, found by stripping the horizontal strip of the last
-    content letter."""
-    if not content:
-        return int(not shape)
-    if len(shape) > len(content) or sum(shape) != sum(content):
-        return 0
-    return sum(kostka(inner, content[:-1])
-               for inner in _strips(shape, content[-1]))
-
-
-def _strips(shape: Partition, size: int) -> Iterator[Partition]:
-    """The shapes g with shape/g a horizontal strip of ``size`` cells:
-    shape[i+1] <= g[i] <= shape[i]."""
-    below = shape[1:] + (0,)
-
-    def gen(i: int, left: int, prefix: list[int]) -> Iterator[Partition]:
-        if i == len(shape):
-            if not left:
-                yield tuple(x for x in prefix if x)
-            return
-        for take in range(min(left, shape[i] - below[i]) + 1):
-            prefix.append(shape[i] - take)
-            yield from gen(i + 1, left - take, prefix)
-            prefix.pop()
-
-    return gen(0, size, [])
-
-
 @lru_cache(maxsize=4096)
 def cost(mu_a: Partition, mu_b: Partition, budget: int) -> int:
     """TABLOID_WEIGHT times the number of nu-tabloids over the shapes nu
@@ -126,10 +98,9 @@ def shape_weights(I: Sequence, J: Sequence,
     a_blocks = max(rows) + 1
     out: dict[Partition, int] = {}
     for nu in dominating(_shape(rows), _shape(cols)):
-        r = _fixed_tabloids(conj, plain, nu, a_blocks)
-        for f, w in out.items():
-            r -= kostka(f, nu) * w
-        out[nu] = r
+        kostka = schur_expansion("h", nu)
+        out[nu] = _fixed_tabloids(conj, plain, nu, a_blocks) - sum(
+            kostka.get(f, 0) * w for f, w in out.items())
     return out
 
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 from math import factorial
 from typing import Sequence
 
 from . import weingarten
-from .queries import (CanonicalMoment, MomentQuery, canonicalize, relabel,
-                      transpose)
+from .queries import CanonicalMoment, MomentQuery, canonicalize, relabel
 from .ratfun import Poly, RationalFunction
 
 XWeights = tuple[int, int, int, int, int, int, int, int]
@@ -434,34 +434,44 @@ def _match_direct(w: Counter, rows, cols):
 
 
 def _match_exchange(wc: Counter, wp: Counter, rows, cols):
+    """x4(t, u) in any orientation: either order of the rows and of the
+    columns, transposed or not.  With its columns swapped, x5(t, u) is
+    x4(u, t), and with its conjugated and plain factors swapped, x4(t, u)
+    is x5(t-1, u+1); so x4 answers every x5 moment, however it is written."""
     if len(rows) != 2 or len(cols) != 2:
         return None
-    r1, r2 = rows
-    c1, c2 = cols
-    for i, j in ((r1, r2), (r2, r1)):
-        for a, b in ((c1, c2), (c2, c1)):
-            w = (wc[(i, a)], wc[(i, b)], wc[(j, b)], wc[(j, a)],
-                 wp[(i, a)], wp[(i, b)], wp[(j, b)], wp[(j, a)])
-            if not x_check_balance(w):
-                continue
-            fam = x_family(w)
-            if fam is not None:
-                return (fam, x_special(fam, w[2], w[3]))
+    for (i, j), (a, b) in product(permutations(rows), permutations(cols)):
+        r, s, t, u = wc[(i, a)], wc[(i, b)], wc[(j, b)], wc[(j, a)]
+        rp, sp, tp, up = wp[(i, a)], wp[(i, b)], wp[(j, b)], wp[(j, a)]
+        # the transposed orientation reads the loop the other way round
+        for w in ((r, s, t, u, rp, sp, tp, up), (r, u, t, s, rp, up, tp, sp)):
+            if x_family(w) == "x4":
+                return ("x4", x_special("x4", w[2], w[3]))
     return None
+
+
+def _pairs(m: CanonicalMoment) -> tuple[list, list]:
+    """The conjugated pairs (I[a], J[a]) and the plain pairs (I[a], J[Q[a]])."""
+    return list(zip(m.I, m.J)), [(m.I[a], m.J[m.Q[a]]) for a in range(m.p)]
 
 
 @lru_cache(maxsize=None)
 def _catalog_signatures() -> dict[tuple, tuple[str, RationalFunction]]:
-    """(I, J, Q) of relabel(cm) and of relabel(transpose(cm)) for each
-    degree-3 catalog moment cm, to its key and closed form.  Since
-    relabel(transpose(relabel(transpose(m)))) == relabel(m), one lookup of
-    relabel(m) also finds a transposed presentation."""
+    """The sorted conjugated and plain pairs of every presentation of each
+    degree-3 catalog moment, to its key and closed form: transposed or not,
+    the two factor lists swapped or not, and the rows 1..r and columns
+    1..c renamed in every way, as ``relabel`` may name them."""
     sigs: dict[tuple, tuple[str, RationalFunction]] = {}
     for key in DEGREE3_KEYS:
-        cm = canonicalize(degree3_query(key))
-        for variant in (relabel(cm), relabel(transpose(cm))):
-            sig = (variant.I, variant.J, variant.Q)
-            sigs.setdefault(sig, (key, degree3(key)))
+        c, q = _pairs(relabel(canonicalize(degree3_query(key))))
+        tc, tq = ([(j, i) for i, j in pairs] for pairs in (c, q))
+        for conj, plain in ((c, q), (q, c), (tc, tq), (tq, tc)):
+            for rn, cn in product(permutations(sorted({i for i, _ in conj})),
+                                  permutations(sorted({j for _, j in conj}))):
+                sig = tuple(tuple(sorted((rn[i - 1], cn[j - 1])
+                                         for i, j in pairs))
+                            for pairs in (conj, plain))
+                sigs.setdefault(sig, (key, degree3(key)))
     return sigs
 
 
@@ -472,20 +482,17 @@ def match_closed_form(m: CanonicalMoment):
         return ("zero", RationalFunction.zero())
     if m.p == 0:
         return ("normalization", RationalFunction.one())
-    conj = Counter(zip(m.I, m.J))
-    plain = Counter((m.I[a], m.J[m.Q[a]]) for a in range(m.p))
+    conj, plain = map(Counter, _pairs(m))
     rows = sorted(set(m.I))
     cols = sorted(set(m.J))
     if conj == plain:
         hit = _match_direct(conj, rows, cols)
-        if hit:
-            return hit
     else:
         hit = _match_exchange(conj, plain, rows, cols)
-        if hit:
-            return hit
-    v = relabel(m)
-    return _catalog_signatures().get((v.I, v.J, v.Q))
+    if hit or m.p != 3:
+        return hit
+    return _catalog_signatures().get(
+        tuple(tuple(sorted(pairs)) for pairs in _pairs(relabel(m))))
 
 
 # ---------------------------------------------------------------------------

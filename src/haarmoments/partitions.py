@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import Iterator
 
 from .ratfun import Poly, RationalFunction, expand
 
@@ -138,34 +139,59 @@ def dim_unitary_at(shape: Partition, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# characters: Murnaghan–Nakayama on beta-numbers, memoized
+# characters and Kostka numbers: Schur expansions, one factor at a time
 
-@lru_cache(maxsize=None)
 def character(shape: Partition, ct: Partition) -> int:
     """Irreducible character of the class ``ct`` in the irrep ``shape``."""
     if sum(shape) != sum(ct):
         raise ValueError("shape and cycle type must partition the same p")
-    return _mn(shape, ct)
+    return schur_expansion("p", tuple(sorted(ct, reverse=True))).get(shape, 0)
 
 
 @lru_cache(maxsize=None)
-def _mn(shape: Partition, ct: Partition) -> int:
-    if not ct:
-        return 1
-    k = len(shape)
-    beta = tuple(shape[i] + (k - 1 - i) for i in range(k))
-    bset = set(beta)
-    ell = ct[0]
-    rest = ct[1:]
-    total = 0
-    for b in beta:
-        nb = b - ell
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        nbs = sorted(((x if x != b else nb) for x in beta), reverse=True)
-        newshape = tuple(
-            v for v in (nbs[i] - (k - 1 - i) for i in range(k)) if v > 0
-        )
-        total += (-1) ** height * _mn(newshape, rest)
-    return total
+def schur_expansion(kind: str, parts: Partition) -> dict[Partition, int]:
+    """{f: c_f} over the c_f != 0 in p_parts = sum c_f s_f (``kind`` "p") or
+    h_parts = sum c_f s_f ("h"), ``parts`` a partition: c_f is the character
+    chi_f(parts) or the Kostka number K_{f,parts}.  The largest part is
+    multiplied in last, onto the cached expansion of the others, so products
+    that share their smaller parts share that work.  s_g p_r adds the border
+    strips of r cells to g, with sign (-1)^(rows - 1) (Murnaghan–Nakayama);
+    s_g h_r adds the horizontal strips (Pieri).  The dict is the cached one:
+    read it, do not change it."""
+    if not parts:
+        return {(): 1}
+    strips = _border_strips if kind == "p" else _horizontal_strips
+    out: dict[Partition, int] = {}
+    for g, c in schur_expansion(kind, parts[1:]).items():
+        for f, sign in strips(g, parts[0]):
+            out[f] = out.get(f, 0) + sign * c
+    return {f: c for f, c in out.items() if c}
+
+
+def _border_strips(shape: Partition, r: int) -> Iterator[tuple[Partition, int]]:
+    """(f, sign) for each border strip f/shape of r cells: on the
+    beta-numbers of ``shape`` padded with r zero rows, the one of row i
+    moves up by r past those of rows j..i-1, with sign (-1)^(i-j)."""
+    padded = shape + (0,) * r
+    beta = [x - i for i, x in enumerate(padded)]
+    taken = set(beta)
+    for i, b in enumerate(beta):
+        if b + r not in taken:
+            j = sum(x > b + r for x in beta)
+            f = (padded[:j] + (padded[i] + r - i + j,)
+                 + tuple(x + 1 for x in padded[j:i]) + padded[i + 1:])
+            yield f[:len(f) - f.count(0)], (-1) ** (i - j)
+
+
+def _horizontal_strips(shape: Partition,
+                       r: int) -> Iterator[tuple[Partition, int]]:
+    """(f, 1) for each horizontal strip f/shape of r cells: below the first
+    row, which takes the rest, shape[i-1] >= f[i] >= shape[i]."""
+    padded = shape + (0,)
+    grown: list[tuple[Partition, int]] = [((), r)]
+    for above, row in zip(padded, padded[1:]):
+        grown = [(rows + (row + a,), left - a) for rows, left in grown
+                 for a in range(min(above - row, left) + 1)]
+    for rows, left in grown:
+        f = (padded[0] + left,) + rows
+        yield f[:len(f) - f.count(0)], 1

@@ -145,8 +145,9 @@ def transpose(m: CanonicalMoment) -> CanonicalMoment:
 
 def orient(m: CanonicalMoment) -> CanonicalMoment:
     """Transpose when that makes the first stabilizer the larger one.  The
-    engine keys its count cache on this form; which factor of the double
-    coset it holds and which it streams, it picks by size itself."""
+    engine keys its shape-weight cache (``weingarten._shape_weights``) on
+    this form; which factor of the double coset it holds and which it
+    streams, it picks by size itself."""
     if m.zero:
         return m
     if stabilizer(m.J).order > stabilizer(m.I).order:

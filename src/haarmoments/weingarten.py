@@ -62,11 +62,11 @@ from . import _tabloids
 from ._counting import count_compositions
 from .partitions import (
     Partition,
-    character,
     compose,
     contents,
     dim_symmetric,
     partitions_of,
+    schur_expansion,
 )
 from .queries import CanonicalMoment, MomentQuery, canonicalize, orient, relabel
 from .ratfun import Poly, RationalFunction, expand
@@ -83,10 +83,11 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 # shape weights and the two folds
 
-@lru_cache(maxsize=None)
 def _characters(ct: Partition) -> tuple[int, ...]:
-    """chi_f(ct) for every shape f, in ``partitions_of(p)`` order."""
-    return tuple(character(f, ct) for f in partitions_of(sum(ct)))
+    """chi_f(ct) for every shape f, in ``partitions_of(p)`` order: a column
+    of the cached power-sum expansion."""
+    chi = schur_expansion("p", ct)
+    return tuple(chi.get(f, 0) for f in partitions_of(sum(ct)))
 
 
 def _weights(counts: dict[Partition, int], p: int) -> tuple[int, ...]:

@@ -127,7 +127,7 @@ def test_x_integral_routes_agree_with_engine():
                 canonicalize(invariants.x_query(w, n)), n)
             assert invariants.x_integral(w, n=n) == want, (w, n)
             checks += 1
-    assert checks == 1221
+    assert checks == 1269
 
 
 def test_relations_all_hold():
@@ -229,8 +229,9 @@ def test_moment_labels_the_route():
         (invariants.fan_query((2, 1)), "invariant:fan"),
         (invariants.z_query(1, 1, 1), "invariant:z"),
         (invariants.e2_query(), "invariant:x4"),
+        # x5(1, 1) is x4(1, 1) with its columns swapped
         (invariants.x_query(invariants.x_special_weights("x5", 1, 1), n=3),
-         "invariant:x5"),
+         "invariant:x4"),
         (invariants.degree3_query("6b"), "invariant:6b"),
         (MomentQuery.make(2, (1,), (1,), (2,), (1,)), "invariant:zero"),
         (MomentQuery.make(2, (), (), (), ()), "invariant:normalization"),
@@ -267,28 +268,10 @@ def test_moment_refusals():
         invariants.moment(q, "fast")
 
 
-@st.composite
-def _catalog_presentations(draw):
-    """A fan, z, x4/x5 or degree-3 query with p <= 5, its rows and columns
-    relabeled injectively into 1..p+1, its factors reordered, and half the
-    time transposed."""
-    family = draw(st.sampled_from(("fan", "z", "x4", "x5", "degree3")))
-    if family == "fan":
-        ms = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)
-                  .filter(lambda ms: sum(ms) <= 5))
-        q = invariants.fan_query(ms)
-    elif family == "z":
-        ms = draw(st.tuples(*[st.integers(0, 5)] * 3)
-                  .filter(lambda ms: 1 <= sum(ms) <= 5))
-        q = invariants.z_query(*ms)
-    elif family in ("x4", "x5"):
-        lo = 1 if family == "x4" else 0
-        t = draw(st.integers(lo, 3 + lo))
-        u = draw(st.integers(1 - lo, 4 - t))
-        q = invariants.x_query(invariants.x_special_weights(family, t, u))
-    else:
-        q = invariants.degree3_query(
-            draw(st.sampled_from(invariants.DEGREE3_KEYS)))
+def _present(draw, q):
+    """q with its rows and columns relabeled injectively into 1..p+1, its
+    factors reordered, half the time transposed, and half the time with the
+    conjugated and plain factors swapped."""
     p = len(q.I)
     rows = sorted(set(q.I) | set(q.K))
     cols = sorted(set(q.J) | set(q.L))
@@ -299,11 +282,41 @@ def _catalog_presentations(draw):
     if draw(st.booleans()):
         conj = [(j, i) for i, j in conj]
         plain = [(l, k) for k, l in plain]
+    if draw(st.booleans()):
+        conj, plain = plain, conj
     conj = draw(st.permutations(conj))
     plain = draw(st.permutations(plain))
     I, J = zip(*conj)
     K, L = zip(*plain)
     return MomentQuery.make(max(I + J), I, J, K, L)
+
+
+def _x_loop(draw, family):
+    """An x4 or x5 query with t + u <= 4."""
+    lo = 1 if family == "x4" else 0
+    t = draw(st.integers(lo, 3 + lo))
+    u = draw(st.integers(1 - lo, 4 - t))
+    return invariants.x_query(invariants.x_special_weights(family, t, u))
+
+
+@st.composite
+def _catalog_presentations(draw):
+    """A fan, z, x4/x5 or degree-3 query with p <= 5, presented at random."""
+    family = draw(st.sampled_from(("fan", "z", "x4", "x5", "degree3")))
+    if family == "fan":
+        ms = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)
+                  .filter(lambda ms: sum(ms) <= 5))
+        q = invariants.fan_query(ms)
+    elif family == "z":
+        ms = draw(st.tuples(*[st.integers(0, 5)] * 3)
+                  .filter(lambda ms: 1 <= sum(ms) <= 5))
+        q = invariants.z_query(*ms)
+    elif family in ("x4", "x5"):
+        q = _x_loop(draw, family)
+    else:
+        q = invariants.degree3_query(
+            draw(st.sampled_from(invariants.DEGREE3_KEYS)))
+    return _present(draw, q)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -319,3 +332,27 @@ def test_closed_form_hits_match_group_engine(q):
     for n in range(max(rf.validity_min_n, q.n), p + 2):
         fixed = weingarten.evaluate(MomentQuery.make(n, q.I, q.J, q.K, q.L))
         assert rf.eval_at(n) == fixed, (hit[0], n)
+
+
+@st.composite
+def _loop_presentations(draw):
+    """A degree-3 catalog query or an x4/x5 query with t + u <= 4, and a
+    random presentation of the same moment."""
+    family = draw(st.sampled_from(("x4", "x5", "degree3")))
+    if family == "degree3":
+        q = invariants.degree3_query(
+            draw(st.sampled_from(invariants.DEGREE3_KEYS)))
+    else:
+        q = _x_loop(draw, family)
+    return q, _present(draw, q)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_loop_presentations())
+def test_route_label_does_not_depend_on_the_presentation(pair):
+    q, shown = pair
+    base = MomentQuery.make(shown.n, q.I, q.J, q.K, q.L)
+    for symbolic in (False, True):
+        want = invariants.moment(base, symbolic=symbolic)
+        assert invariants.moment(shown, symbolic=symbolic) == want, shown
+    assert want[1].startswith("invariant:"), want

@@ -1,5 +1,6 @@
 """Partitions, hook lengths, symmetric-group characters, dimensions."""
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from haarmoments.partitions import (character, class_size, compose, conjugate,
                                     cycle_type, dim_symmetric, dim_unitary,
                                     dim_unitary_at, hook_lengths, identity,
-                                    inverse, partitions_of)
+                                    inverse, partitions_of, schur_expansion)
 
 
 def test_partitions_of_small():
@@ -99,6 +100,45 @@ def test_character_orthogonality_p5():
             inner = sum(class_size(c) * character(f, c) * character(g, c)
                         for c in shapes)
             assert inner == (factorial(5) if f == g else 0)
+
+
+def test_character_rejects_mismatched_sizes():
+    with pytest.raises(ValueError, match="same p"):
+        character((2, 1), (2,))
+
+
+def _fixed_tabloids(nu, ct):
+    """Brute force: the nu-tabloids (row of each point) fixed by a
+    permutation of cycle type ct."""
+    perm, start = [], 0
+    for length in ct:
+        perm += [start + (k + 1) % length for k in range(length)]
+        start += length
+    word = [r for r, size in enumerate(nu) for _ in range(size)]
+    return sum(all(t[perm[x]] == t[x] for x in range(len(t)))
+               for t in set(permutations(word)))
+
+
+def test_youngs_rule_ties_border_strips_to_horizontal_strips():
+    # M^nu has character sum_f K_{f,nu} chi_f: the Kostka numbers from
+    # horizontal strips against the characters from border strips
+    for p in range(1, 7):
+        shapes = partitions_of(p)
+        for nu in shapes:
+            kostka = schur_expansion("h", nu)
+            for ct in shapes:
+                assert sum(k * character(f, ct) for f, k in kostka.items()) \
+                    == _fixed_tabloids(nu, ct), (nu, ct)
+
+
+def test_characters_at_p20():
+    p = 20
+    for f in partitions_of(p):
+        assert character(f, (1,) * p) == dim_symmetric(f)
+    hooks = {(p - k,) + (1,) * k: (-1) ** k for k in range(p)}
+    assert schur_expansion("p", (p,)) == hooks
+    assert character((p - 3, 1, 1, 1), (p,)) == -1
+    assert character((p - 2, 2), (p,)) == 0
 
 
 def test_dim_unitary_closed_forms():
