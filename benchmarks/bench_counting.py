@@ -8,9 +8,10 @@ Two kinds of case:
   compositions and the cycle-type count.
 * ``shape_weights``: ``weingarten._shape_weights`` as ``moment_symbolic``
   calls it (the call is timed inside ``moment_symbolic``), on the same six
-  cases plus the no-reduction worst case I=1^4 2^4 3^4, J=(1,2,3,4)x3 and
-  one row against nine distinct columns.  This is the engine's per-query
-  work, by whichever route it takes.
+  cases plus the no-reduction worst case I=1^4 2^4 3^4, J=(1,2,3,4)x3, one
+  row against nine distinct columns, the six balanced batch-heavy keys, and
+  two many-block keys, one on each side of ``_counting._LOOP_MAX``.  This
+  is the engine's per-query work, by whichever route it takes.
 
 Each case runs cold in a fresh interpreter, so no cache filled by an earlier
 case is reused.  Every case is run ``--repeat`` times.  The results go to a
@@ -48,6 +49,31 @@ WEIGHT_CASES = CASES + [
     ("worst case 1^4 2^4 3^4", (1,) * 4 + (2,) * 4 + (3,) * 4,
      (1, 2, 3, 4) * 3, tuple(range(12))),
     ("one row, 9 columns", (1,) * 9, tuple(range(1, 10)), tuple(range(9))),
+    # the six balanced batch-heavy keys (seed 3), oriented as the engine
+    # keys them: they took the tile path until tabloids were weighed
+    # against the tuple loop
+    ("heavy (3,3,3)x(3,3,3) H=1", (1, 2, 1, 2, 3, 2, 3, 1, 3),
+     (1, 1, 2, 3, 2, 1, 3, 2, 3), (2, 4, 3, 0, 1, 6, 7, 5, 8)),
+    ("heavy (4,3,2)x(3,3,2,1) H=1", (1, 2, 1, 2, 2, 2, 3, 3, 3),
+     (1, 2, 1, 1, 3, 4, 2, 4, 2), (0, 5, 1, 6, 4, 2, 3, 8, 7)),
+    ("heavy (4,4,1)x(3,3,2,1) H=4", (1, 2, 3, 1, 2, 1, 1, 2, 2),
+     (1, 1, 2, 2, 3, 2, 4, 3, 3), (2, 6, 0, 3, 4, 7, 1, 8, 5)),
+    ("heavy (5,2,1)x(4,2,1,1) H=6", (1, 2, 1, 3, 1, 2, 1, 1),
+     (1, 2, 2, 2, 3, 1, 2, 4), (1, 0, 4, 2, 3, 7, 5, 6)),
+    ("heavy (4,3,1)x(4,3,1) H=4", (1, 2, 2, 1, 1, 2, 3, 2),
+     (1, 2, 3, 2, 1, 1, 2, 2), (1, 2, 3, 0, 4, 5, 6, 7)),
+    ("heavy (5,2,2)x(3,2,2,2) H=2", (1, 2, 2, 1, 1, 1, 3, 1, 3),
+     (1, 1, 2, 3, 4, 4, 2, 3, 4), (3, 4, 2, 5, 0, 6, 1, 7, 8)),
+    # many blocks, 62,208 compositions against 547,251 tabloids: below
+    # _counting._LOOP_MAX, so the tuple loop counts it, where a process
+    # that has numpy loaded already would count it faster in tiles
+    ("loop (4,3,2,1,1)x(3,3,3,1,1)", (1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 5),
+     (1, 2, 3, 4, 1, 2, 3, 1, 2, 3, 5), tuple(range(11))),
+    # one more block: 248,832 compositions, above _counting._LOOP_MAX, so
+    # the tiles count it, numpy's import included when the process is cold
+    ("tiles (4,3,2,2,1)x(3,3,3,2,1)",
+     (1, 1, 1, 1, 2, 2, 2, 3, 3, 4, 4, 5),
+     (1, 2, 3, 4, 1, 2, 3, 1, 2, 3, 4, 5), tuple(range(12))),
 ]
 
 

@@ -8,13 +8,13 @@ stabilizer pairs, and a catalog of closed forms derived from invariance
 arguments.  A counter-based Monte Carlo sampler provides statistical
 cross-checks, and the same machinery covers monomial moments of uniformly
 random points on the real unit hypersphere.
+
+The sampler's names are loaded on first use (PEP 562), so that importing the
+package for an exact answer does not import numpy.
 """
 from .invariants import (degree3, degree3_query, exchange_e2, e2_query, fan,
                          fan_query, match_closed_form, moment, x_integral,
                          x_query, x_special, z_integral, z_query)
-from .montecarlo import (Estimate, SamplerConfig, estimate_moment,
-                         estimate_sphere_moment, haar_batch, mc_tolerance,
-                         sphere_batch)
 from .partitions import (character, class_size, dim_symmetric, dim_unitary,
                          partitions_of)
 from .queries import CanonicalMoment, MomentQuery, canonicalize
@@ -36,3 +36,18 @@ __all__ = [
     "sphere_moment", "x_integral", "x_query", "x_special", "xi_at",
     "xi_symbolic", "z_integral", "z_query",
 ]
+
+_SAMPLER = frozenset({"Estimate", "SamplerConfig", "estimate_moment",
+                      "estimate_sphere_moment", "haar_batch", "mc_tolerance",
+                      "sphere_batch"})
+
+
+def __getattr__(name: str):
+    if name in _SAMPLER:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SAMPLER)

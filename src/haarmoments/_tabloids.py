@@ -16,6 +16,15 @@ The column K_{.,nu} is the Schur expansion of h_nu
 (``partitions.schur_expansion``), the same cached routine that gives the
 characters.
 
+The last shape of F, the one every other shape dominates, has the most
+tabloids, and it needs none.  The regular character sum_f d_f chi_f(g) is
+p! at g = id and 0 elsewhere, so sum_f d_f w_f = p! N_id, N_id the number of
+pairs with S∘Q∘R = id.  Such an R sends each point to one whose plain label
+pair (I, J_Q) equals the point's conjugated pair (I, J), so N_id = |H|, the
+product of the factorials of the pair multiplicities, when the conjugated
+and plain pair multisets agree, and 0 otherwise.  The last w_f is what that
+sum leaves over d_f.
+
 R_nu itself is a count of tabloids.  Give a tabloid t its table A (points of
 each I-block in each row), its table B over the labels J[x] and its table
 B_Q over the labels J[Q[x]].  Then
@@ -27,26 +36,31 @@ found by a dynamic program over the points, sorted by label pair, that
 keeps one state per partial pair of tables: tabloids that agree on the
 tables so far are counted together.
 
-The work grows with the number of nu-tabloids over nu in F, not with the
-stabilizers' orders.  ``cost`` estimates it from the block sizes alone, and
-``weingarten._shape_weights`` takes this route when it is the cheaper one.
+The work grows with the number of nu-tabloids over nu in F but the last,
+not with the stabilizers' orders.  ``cost`` estimates it from the block
+sizes alone, and ``weingarten._shape_weights`` takes this route when it is
+the cheaper one.
 Everything here is exact integer arithmetic in pure Python.
 """
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from math import factorial, prod
 from typing import Iterator, Sequence
 
-from .partitions import Partition, schur_expansion
+from .partitions import Partition, dim_symmetric, schur_expansion
 
-# One nu-tabloid of the estimate, in double-coset compositions.  Timed on the
-# 25 batch-heavy keys (p = 7..9), both routes warm, in one process on a
-# 2-vCPU host: the routes took equal time at 8 to 10 compositions per
-# tabloid, about 0.4 us a composition against 4 us a tabloid.
-TABLOID_WEIGHT = 10
+# One nu-tabloid of the estimate, in double-coset compositions.  Timed warm
+# in one process on a 2-vCPU host, against the tuple loop that enumerates
+# every key below _counting._LOOP_MAX, on the batch-heavy and batch-symbolic
+# keys (p = 7..9) with 0.07 to 16 tabloids per composition: the routes' time
+# ratio was 0.5 to 2.5 times their ratio of tabloids to compositions (3.8 on
+# one key of 1,920 compositions), so they broke even at 0.4 to 1.9 tabloids
+# per composition.  The 25 batch-heavy keys have at most 0.12, and the
+# batch-symbolic keys at least 1.46.
+TABLOID_WEIGHT = 2
 
 
 def dominating(a: Partition, b: Partition) -> Iterator[Partition]:
@@ -75,12 +89,12 @@ def dominating(a: Partition, b: Partition) -> Iterator[Partition]:
 @lru_cache(maxsize=4096)
 def cost(mu_a: Partition, mu_b: Partition, budget: int) -> int:
     """TABLOID_WEIGHT times the number of nu-tabloids over the shapes nu
-    that dominate both block shapes: the estimated work of this route in
-    compositions.  The sum stops once it passes ``budget``, so a result
-    above the budget is a lower bound."""
+    that dominate both block shapes, but the last: the estimated work of
+    this route in compositions.  The sum stops once it passes ``budget``,
+    so a result above the budget is a lower bound."""
     p = sum(mu_a)
     total = 0
-    for nu in dominating(mu_a, mu_b):
+    for nu, _ in pairwise(dominating(mu_a, mu_b)):
         total += TABLOID_WEIGHT * (
             factorial(p) // prod(map(factorial, nu)))
         if total > budget:
@@ -96,11 +110,19 @@ def shape_weights(I: Sequence, J: Sequence,
     conj = sorted(zip(rows, cols))
     plain = sorted(zip(rows, (cols[y] for y in Q)))
     a_blocks = max(rows) + 1
+    *upper, last = dominating(_shape(rows), _shape(cols))
     out: dict[Partition, int] = {}
-    for nu in dominating(_shape(rows), _shape(cols)):
+    for nu in upper:
         kostka = schur_expansion("h", nu)
         out[nu] = _fixed_tabloids(conj, plain, nu, a_blocks) - sum(
             kostka.get(f, 0) * w for f, w in out.items())
+    # the last shape from the regular character: sum_f d_f w_f = p! N_id
+    regular = 0
+    if plain == conj:
+        regular = factorial(len(I)) * prod(
+            map(factorial, Counter(plain).values()))
+    rest = sum(dim_symmetric(f) * w for f, w in out.items())
+    out[last] = (regular - rest) // dim_symmetric(last)
     return out
 
 
@@ -142,16 +164,7 @@ def _table_counts(pairs, nu: Partition, a_blocks: int,
     rows still have room.  The returned codes keep only the table digits."""
     rows = len(nu)
     low = base ** rows
-    open_rows: dict[int, list[int]] = {}
-
-    def room(fill_code: int) -> list[int]:
-        out = open_rows.get(fill_code)
-        if out is None:
-            out = open_rows[fill_code] = [
-                r for r in range(rows)
-                if fill_code // base ** r % base < nu[r]]
-        return out
-
+    open_rows: dict[int, list[int]] = {}   # fill code -> rows with room
     states = {0: 1}
     for i, j in pairs:
         steps = [base ** r + low * (base ** (i * rows + r)
@@ -160,7 +173,13 @@ def _table_counts(pairs, nu: Partition, a_blocks: int,
         nxt: dict[int, int] = {}
         get = nxt.get
         for code, count in states.items():
-            for r in room(code % low):
+            fill = code % low
+            room = open_rows.get(fill)
+            if room is None:
+                room = open_rows[fill] = [
+                    r for r in range(rows)
+                    if fill // base ** r % base < nu[r]]
+            for r in room:
                 key = code + steps[r]
                 nxt[key] = get(key, 0) + count
         states = nxt

@@ -21,8 +21,6 @@ import json
 import sys
 
 from . import invariants, sphere, suites, weingarten
-from .montecarlo import (SamplerConfig, check_threads, estimate_moment,
-                         estimate_sphere_moment, mc_tolerance)
 from .queries import MomentQuery, is_int
 from .ratfun import RationalFunction
 
@@ -222,6 +220,9 @@ def _cmd_sphere(args) -> int:
 # Monte Carlo
 
 def _cmd_mc(args) -> int:
+    from .montecarlo import (SamplerConfig, estimate_moment,
+                             estimate_sphere_moment, mc_tolerance)
+
     try:
         obj = json.loads(args.query)
     except json.JSONDecodeError as e:
@@ -279,6 +280,8 @@ def _cmd_mc(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
+    from .montecarlo import check_threads
+
     check_threads(args.threads)
     names = list(suites.SUITES) if args.suite == "all" else [args.suite]
     passed = 0

@@ -14,8 +14,6 @@ from itertools import product
 from math import factorial
 
 from . import invariants, sphere, weingarten
-from .montecarlo import (SamplerConfig, estimate_moment,
-                         estimate_sphere_moment, mc_tolerance)
 from .partitions import (character, class_size, dim_symmetric, dim_unitary,
                          partitions_of)
 from .queries import CanonicalMoment, MomentQuery, alignments, canonicalize
@@ -480,6 +478,9 @@ def _designated_values() -> list[tuple[str, str, object, int, Fraction]]:
 
 def run_mc_crosscheck(samples: int = 200000, seed: int = DEFAULT_SEED,
                       threads: int | None = None, **_) -> list[CheckResult]:
+    from .montecarlo import (SamplerConfig, estimate_moment,
+                             estimate_sphere_moment, mc_tolerance)
+
     res: list[CheckResult] = []
     rows = _designated_values()
     assert len(rows) == 20

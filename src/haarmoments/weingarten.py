@@ -37,19 +37,23 @@ pair, and both give the same integers:
 * compositions: S∘Q∘R takes each element of the double coset S_J·Q·S_I
   exactly |H| times, H = S_J ∩ Q·S_I·Q⁻¹, so the engine composes each
   element once, weights its class by |H| and folds the class counts with
-  the characters.  The cycle types are counted by ``_counting``: a tile at a
-  time in numpy, or by a tuple loop for small products.
+  the characters.  The cycle types are counted by ``_counting``: by a
+  tuple loop up to ``_counting._LOOP_MAX`` (2^16) compositions, and above
+  that a tile at a time in numpy, whose import only such products repay.
 * tabloids: Young's rule gives w_f from counts of nu-tabloids, for the
-  shapes nu that dominate the block shapes of both I and J (``_tabloids``).
-  No character is needed.
+  shapes nu that dominate the block shapes of both I and J, except the
+  last, whose weight the regular character gives (``_tabloids``).  No
+  character table is needed.
 
 ``_shape_weights`` takes the route with the smaller estimated cost, in
 compositions: |S_I|·|S_J|/|H| for the first, and for the second
-``_tabloids.TABLOID_WEIGHT`` times the number of tabloids, which depends on
-the block shapes alone.  A query whose cheaper route still costs more than
-PAIR_CAP is refused; Monte Carlo estimation is the intended tool there.
-``class_counts``, the public enumeration, keeps its own cap on the raw pair
-sum |S_I|·|S_J|.
+``_tabloids.TABLOID_WEIGHT`` times the number of tabloids it counts, which
+depends on the block shapes alone.  The weight was measured against the
+tuple loop, so an exact query imports numpy only when the compositions are
+both cheaper and more than 2^16.  A query whose cheaper route still costs
+more than PAIR_CAP is refused; Monte Carlo estimation is the intended tool
+there.  ``class_counts``, the public enumeration, keeps its own cap on the
+raw pair sum |S_I|·|S_J|.
 """
 from __future__ import annotations
 
@@ -205,9 +209,11 @@ def _enumerate(GI, GJ, reps, Q) -> dict[Partition, int]:
     # Hold the smaller factor, stream the larger.  Streaming R against held
     # S∘Q composes R∘S∘Q, a conjugate of S∘Q∘R with the same cycle type.
     if reps.order <= GJ.order:
-        counts = count_compositions(GJ, [compose(Q, r) for r in reps])
+        counts = count_compositions(GJ, GJ.order,
+                                    [compose(Q, r) for r in reps])
     else:
-        counts = count_compositions(reps, [compose(s, Q) for s in GJ])
+        counts = count_compositions(reps, reps.order,
+                                    [compose(s, Q) for s in GJ])
     return {ct: c * weight for ct, c in counts.items()}
 
 

@@ -1,9 +1,14 @@
 """Command-line interface: output formats, methods, batch mode, exit codes."""
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import haarmoments
 from haarmoments.cli import main
 
 
@@ -311,3 +316,132 @@ def test_empty_thread_environment_means_unset(capsys, monkeypatch):
                            '{"n":2,"I":[1],"J":[1],"K":[1],"L":[1]}',
                            "--samples", "100")
     assert code == 0 and json.loads(out)["samples"] == 100
+
+
+# ---------------------------------------------------------------------------
+# exact answers never import numpy
+
+def _python(*args, stdin=None):
+    """Run a fresh interpreter on the package under test."""
+    env = dict(os.environ)
+    src = str(Path(haarmoments.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# Runs each argv list of a JSON list through the CLI with numpy made
+# unimportable, and prints one [exit code, stdout] pair per list.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from haarmoments.cli import main
+results = []
+for argv in json.loads(sys.stdin.read()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+loaded = [m for m in sys.modules if m.split(".")[0] == "numpy"
+          and sys.modules[m] is not None]
+print(json.dumps({"results": results, "numpy": loaded}))
+"""
+
+# a balanced p = 9 group query with trivial H, (3,3,3) x (3,3,3); a symbolic
+# (3,3,1,1) x (3,2,1,1,1) key of 432 compositions; a zero query
+_GROUP_BATCH = [
+    {"n": 9, "I": [1, 2, 1, 2, 3, 2, 3, 1, 3],
+     "J": [1, 1, 2, 3, 2, 1, 3, 2, 3], "K": [1, 2, 1, 2, 3, 2, 3, 1, 3],
+     "L": [2, 2, 3, 1, 1, 3, 2, 1, 3], "method": "group"},
+    {"n": 8, "I": [1, 2, 2, 3, 3, 2, 4, 3], "J": [1, 2, 1, 3, 2, 1, 4, 5],
+     "K": [1, 2, 2, 3, 3, 2, 4, 3], "L": [1, 1, 4, 3, 1, 5, 2, 2],
+     "symbolic": True},
+    {"n": 2, "I": [1], "J": [1], "K": [], "L": []},
+]
+
+
+def test_exact_queries_run_without_numpy(tmp_path):
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text("".join(json.dumps(q) + "\n" for q in _GROUP_BATCH))
+    argvs = [["moment", "--n", "3", "--I", "1", "--J", "2", "--K", "1",
+              "--L", "2"],
+             ["fan", "--m", "2,1,1"],
+             ["wg", "--class", "3,2"],
+             ["moment", "--batch", str(batch)]]
+    run = _python("-c", _WITHOUT_NUMPY, stdin=json.dumps(argvs))
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(run.stdout)
+    assert doc["numpy"] == []
+    moment, fan, wg, batch_out = doc["results"]
+    assert moment == [0, "1/3\n"]
+    assert fan == [0, "(2)/(n^4 + 6n^3 + 11n^2 + 6n)\n"]
+    assert wg == [0, "(-2n^2 - 24)/(n^10 - 30n^8 + 273n^6 - 820n^4 + "
+                     "576n^2)\n"]
+    assert batch_out[0] == 0
+    lines = [json.loads(line) for line in batch_out[1].splitlines()]
+    assert [(d["method"], d["value"]) for d in lines] == [
+        ("group", {"kind": "rational", "rational": "137/815117022720",
+                   "float": 1.6807402640523767e-10}),
+        ("group", {"kind": "ratfun", "ratfun":
+                   "(2n^5 + 6n^4 - 26n^3 - 22n^2 + 260n + 228)/(n^15 + "
+                   "24n^14 + 208n^13 + 636n^12 - 1166n^11 - 11748n^10 - "
+                   "17776n^9 + 35508n^8 + 114389n^7 + 22044n^6 - 171832n^5 "
+                   "- 106944n^4 + 76176n^3 + 60480n^2)"}),
+        ("invariant:zero", {"kind": "rational", "rational": "0",
+                            "float": 0.0})]
+    assert lines[1]["validity_min_n"] == 8
+
+
+_PUBLIC = [
+    "CanonicalMoment", "Estimate", "MomentQuery", "Poly", "RationalFunction",
+    "SamplerConfig", "canonicalize", "character", "class_counts",
+    "class_size", "degree3", "degree3_query", "dim_symmetric", "dim_unitary",
+    "e2_query", "estimate_moment", "estimate_sphere_moment", "evaluate",
+    "exchange_e2", "fan", "fan_query", "haar_batch", "match_closed_form",
+    "mc_tolerance", "moment", "moment_at", "moment_symbolic", "partitions_of",
+    "s_multi", "s_single", "s_single_symbolic", "sphere_batch",
+    "sphere_moment", "x_integral", "x_query", "x_special", "xi_at",
+    "xi_symbolic", "z_integral", "z_query",
+]
+
+
+def test_sampler_names_load_on_first_use():
+    script = """
+import json, sys
+import haarmoments
+before = "numpy" in sys.modules
+from haarmoments import Estimate
+from haarmoments.cli import main
+print(json.dumps({
+    "before": before, "after": "numpy" in sys.modules,
+    "all": haarmoments.__all__,
+    "listed": sorted(set(haarmoments.__all__) - set(dir(haarmoments))),
+    "same": haarmoments.haar_batch is haarmoments.montecarlo.haar_batch
+            and Estimate is haarmoments.montecarlo.Estimate}))
+sys.exit(main(["mc", "--query", '{"n":2,"I":[1],"J":[1],"K":[1],"L":[1]}',
+               "--samples", "4000"]))
+"""
+    run = _python("-c", script)
+    assert run.returncode == 0, run.stderr
+    names, estimate = run.stdout.splitlines()
+    doc = json.loads(names)
+    assert doc == {"before": False, "after": True, "all": _PUBLIC,
+                   "listed": [], "same": True}
+    estimate = json.loads(estimate)
+    assert estimate["samples"] == 4000 and estimate["exact"] == "1/2"
+    with pytest.raises(AttributeError):
+        haarmoments.no_such_name
+
+
+def test_empty_batch_imports_no_numpy(tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    run = _python("-X", "importtime", "-m", "haarmoments.cli", "moment",
+                  "--batch", str(empty))
+    assert run.returncode == 0 and run.stdout == ""
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "haarmoments.weingarten" in imported
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]

@@ -12,12 +12,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from haarmoments import _counting, _tabloids, invariants, weingarten
-from haarmoments.partitions import (character, compose, cycle_type,
+from haarmoments.partitions import (character, class_size, cycle_type,
                                     dim_symmetric, dim_unitary_at,
                                     hook_lengths, partitions_of,
                                     schur_expansion)
 from haarmoments.queries import MomentQuery, canonicalize
 from haarmoments.ratfun import Poly, RationalFunction
+from haarmoments.stabilizer import stabilizer
 
 
 def _rf(num_coeffs, den_coeffs, validity=0):
@@ -278,25 +279,29 @@ def _random_perms(rng, count, p):
 
 
 def _loop_counts(A, B):
-    out = Counter()
-    _counting._count_loop(A, B, out)
-    return dict(out)
+    radix = _counting._radix(len(B[0]))
+    return {_counting._decode(k, radix): c
+            for k, c in _counting._count_loop(A, B, radix).items()}
 
 
 def _tile_counts(A, B):
-    p = len(B[0])
-    radix = _counting._radix(p)
-    keys = Counter()
-    _counting._count_tiles(np.array(A, dtype=np.intp).reshape(len(A), p),
-                           np.array(B, dtype=np.intp).reshape(len(B), p),
-                           radix, keys)
-    return {_counting._decode(k, radix): c for k, c in keys.items()}
+    radix = _counting._radix(len(B[0]))
+    return {_counting._decode(k, radix): c
+            for k, c in _counting._count_tiles(A, B, radix).items()}
 
 
-def test_tile_kernel_matches_loop():
+def test_tile_kernel_matches_loop(monkeypatch):
     rng = random.Random(7)
     cross = _counting._LOOP_MAX
     tile = _counting._TILE
+    tiled = []
+    count = _counting._count_tiles
+
+    def count_tiles(*args):
+        tiled.append(args)
+        return count(*args)
+
+    monkeypatch.setattr(_counting, "_count_tiles", count_tiles)
     cases = [([()], [()]), ([()] * 3, [()] * 2), ([(0,)] * 4, [(0,)] * 5)]
     # both sides of the loop/tile crossover, and products spanning tiles
     # (_TILE counts points, p per composition): several stream rows per
@@ -308,27 +313,43 @@ def test_tile_kernel_matches_loop():
     for A, B in cases:
         want = _loop_counts(A, B)
         assert _tile_counts(A, B) == want
-        assert dict(_counting.count_compositions(iter(A), B)) == want
+        tiled.clear()
+        assert dict(_counting.count_compositions(iter(A), len(A), B)) == want
+        # the tile path takes exactly the products above the crossover
+        assert bool(tiled) == (len(A) * len(B) > cross)
 
 
-def test_cycle_keys_exact_at_widest_degree():
+def test_cycle_keys_exact_at_widest_degree(monkeypatch):
     # p = 35 is the largest degree whose keys fit in int64; above it the
     # counting falls back to the tuple loop
-    assert _counting._radix(35) is not None
-    assert _counting._radix(36) is None
+    assert 2 * _counting._radix(35)[-1] - 1 <= _counting._INT64_MAX
+    assert 2 * _counting._radix(36)[-1] - 1 > _counting._INT64_MAX
     rng = random.Random(3)
     rows = [tuple(range(35)), tuple(range(1, 35)) + (0,)]
     rows += _random_perms(rng, 30, 35)
     radix = _counting._radix(35)
-    keys = _counting._cycle_keys(np.array(rows, dtype=np.intp), radix)
+    keys = _counting._cycle_keys(np.array(rows, dtype=np.intp),
+                                 np.array(radix, dtype=np.int64))
     assert [_counting._decode(k, radix) for k in keys.tolist()] == [
         cycle_type(r) for r in rows]
-    # p = 36 past the crossover: 120 compositions, S_J and H trivial
-    I = (1,) * 5 + tuple(range(2, 33))
+    # p = 36 past the crossover: 8!·2! = 80,640 compositions, S_J and H
+    # trivial.  Q moves only the 26 singleton rows, so S∘Q∘R = Q∘R has the
+    # cycles of R on the two blocks and the cycles of Q on the rest.
+    I = (1,) * 8 + (2,) * 2 + tuple(range(3, 29))
     J = tuple(range(1, 37))
-    Q = tuple(rng.sample(range(36), 36))
-    want = Counter(cycle_type(compose(Q, r + tuple(range(5, 36))))
-                   for r in permutations(range(5)))
+    Q = tuple(range(10)) + tuple(10 + x for x in rng.sample(range(26), 26))
+    assert stabilizer(I).order > _counting._LOOP_MAX
+    rest = cycle_type(tuple(x - 10 for x in Q[10:]))
+    want = Counter()
+    for a in partitions_of(8):
+        for b in partitions_of(2):
+            ct = tuple(sorted(a + b + rest, reverse=True))
+            want[ct] += class_size(a) * class_size(b)
+
+    def refuse(*args):
+        raise AssertionError("the tile path ran at p = 36")
+
+    monkeypatch.setattr(_counting, "_count_tiles", refuse)
     assert weingarten.class_counts(I, J, Q) == dict(want)
 
 
@@ -473,6 +494,14 @@ def test_route_choice_by_cost(monkeypatch):
     # and a wide dominance up-set
     assert _route((1, 1, 1, 2, 2, 3, 4), (1, 1, 2, 2, 3, 3, 4),
                   (6, 0, 1, 2, 3, 4, 5)) == "compositions"
+    # the balanced trivial-H batch-heavy slot, (3,3,3) x (3,3,3): 46,656
+    # compositions against 3,730 tabloids (the join (3,3,3) needs none)
+    assert _route((1, 2, 1, 2, 3, 2, 3, 1, 3), (1, 1, 2, 3, 2, 1, 3, 2, 3),
+                  (2, 4, 3, 0, 1, 6, 7, 5, 8)) == "tabloids"
+    # a batch-symbolic slot, (3,3,1,1) x (3,2,1,1,1): 432 compositions
+    # against 2,823 tabloids
+    assert _route((1, 2, 2, 3, 3, 2, 4, 3), (1, 2, 1, 3, 2, 1, 4, 5),
+                  (0, 2, 6, 3, 5, 7, 1, 4)) == "compositions"
     # the engine follows the choice
     want = weingarten._weights(weingarten.class_counts(I, J, Q), 9)
 
