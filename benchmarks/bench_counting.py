@@ -110,6 +110,7 @@ def run_weights(index: int) -> dict:
     """Time the cold shape weights of one moment, as moment_symbolic asks
     for them; runs in the child process."""
     from haarmoments import weingarten
+    from haarmoments.partitions import partitions_of
     from haarmoments.queries import CanonicalMoment
 
     _, I, J, Q = WEIGHT_CASES[index]
@@ -128,6 +129,10 @@ def run_weights(index: int) -> dict:
     weingarten.moment_symbolic(m)
     total = time.perf_counter() - start
     [(seconds, weights)] = calls
+    if isinstance(weights, dict):
+        # the nonzero weights {f: w_f}, digested as the dense tuple in
+        # partitions_of(p) order that earlier commits return
+        weights = [weights.get(f, 0) for f in partitions_of(len(I))]
     pairs, compositions = _compositions(I, J, Q)
     return {"seconds": seconds, "moment_symbolic_s": total, "pairs": pairs,
             "compositions": compositions, "weights_sha256": _digest(weights)}

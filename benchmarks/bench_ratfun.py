@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Timing of the rational-function layer: cold construction of reduced
-closed forms, and the folds of class counts into a moment.
+closed forms, the folds of class counts into a moment, and large-degree
+symbolic answers whose shape weights have few nonzero entries.
 
-Three kinds of case:
+Four kinds of case:
 
 * ``catalog``: every closed form of degree p <= 5 that the matcher can
   answer with (fans, z integrals, x4/x5 loops, the seven degree-3 values),
@@ -16,10 +17,16 @@ Three kinds of case:
   counts of the batch-heavy corpus queries of that degree, each at its
   query's n (counts untimed as above): ``weingarten._fold_at`` of the shape
   weights.
+* public calls, timed through the package's public names only: the
+  symbolic group moment of one row against p distinct columns
+  (``one-weight p=20`` .. ``p=30``; one nonzero weight), of I = 1^13 2^13
+  against J = (1,2)x13 (``two-row p=26``; 14 of 2,436 shapes), and the class
+  integrals ``xi_symbolic`` of the 24-cycle (24 hooks of 1,575 shapes) and,
+  as a control whose characters cover every shape, of 1^20.
 
-A commit without ``weingarten._weights`` folds per class: it passes the
-counts to ``_fold_symbolic`` itself, and at fixed n sums
-``xi_at(c, n) * count`` over the classes, as its ``moment_at`` does.
+A commit whose folds read dense tuples in ``partitions_of(p)`` order (it has
+``weingarten._shape_terms``) takes its weights as ``_weights(counts, p)``
+and the degree as an argument of ``_fold_at``.
 
 Each case runs cold in a fresh interpreter, ``--repeat`` times, so no cache
 filled by an earlier case or run is reused.  The results go to a JSON file
@@ -41,13 +48,14 @@ import statistics
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SEED = 3
 CASES = (["catalog"] + [f"fold p={p}" for p in range(7, 12)]
-         + [f"fold at n p={p}" for p in range(7, 10)])
+         + [f"fold at n p={p}" for p in range(7, 10)]
+         + [f"one-weight p={p}" for p in (20, 24, 30)]
+         + ["two-row p=26", "xi (24)", "xi 1^20"])
 
 
 def catalog_calls() -> list:
@@ -88,17 +96,31 @@ def folder(at_n: bool, p: int):
     """The fold of one query's class counts, at its n or symbolic."""
     from haarmoments import weingarten
 
-    if hasattr(weingarten, "_weights"):
+    if hasattr(weingarten, "_shape_terms"):
         if at_n:
             return lambda c, n: weingarten._fold_at(
                 weingarten._weights(c, p), p, n)
         return lambda c, n: weingarten._fold_symbolic(
             weingarten._weights(c, p), p)
     if at_n:
-        return lambda c, n: sum(
-            (weingarten.xi_at(ct, n) * cnt for ct, cnt in c.items()),
-            Fraction(0))
-    return lambda c, n: weingarten._fold_symbolic(c, p)
+        return lambda c, n: weingarten._fold_at(weingarten._weights(c), n)
+    return lambda c, n: weingarten._fold_symbolic(weingarten._weights(c), p)
+
+
+def public_call(name: str):
+    """The timed call of a public-API case, with nothing computed ahead."""
+    import haarmoments as hm
+
+    p = int(name.split("=")[1]) if "=" in name else 0
+    if name.startswith("one-weight"):
+        q = hm.fan_query((1,) * p)
+    elif name.startswith("two-row"):
+        I = (1,) * (p // 2) + (2,) * (p // 2)
+        q = hm.MomentQuery.make(p, I, (1, 2) * (p // 2), I, (1, 2) * (p // 2))
+    else:
+        ct = (24,) if name == "xi (24)" else (1,) * 20
+        return lambda: hm.xi_symbolic(ct)
+    return lambda: hm.moment(q, "group", symbolic=True)[0]
 
 
 def run_case(name: str) -> dict:
@@ -110,6 +132,11 @@ def run_case(name: str) -> dict:
                  catalog_calls()]
         start = time.perf_counter()
         results = [fn(*args) for fn, args in calls]
+        seconds = time.perf_counter() - start
+    elif not name.startswith("fold"):
+        call = public_call(name)
+        start = time.perf_counter()
+        results = [call()]
         seconds = time.perf_counter() - start
     else:
         p = int(name.split("=")[1])
@@ -162,9 +189,11 @@ def main() -> None:
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {"runs": {}}
     doc["what"] = (
-        "cold construction of the closed forms of degree <= 5, and cold "
+        "cold construction of the closed forms of degree <= 5; cold "
         "folds of class counts: symbolic over the batch-symbolic corpus, at "
         f"each query's n over the batch-heavy corpus (seed {CORPUS_SEED}); "
+        "cold public calls: symbolic group moments with few nonzero shape "
+        "weights at p = 20..30, xi_symbolic of the 24-cycle and of 1^20; "
         "one fresh process per run")
     doc["runs"][args.label] = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),

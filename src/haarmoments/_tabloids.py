@@ -104,8 +104,8 @@ def cost(mu_a: Partition, mu_b: Partition, budget: int) -> int:
 
 def shape_weights(I: Sequence, J: Sequence,
                   Q: Sequence[int]) -> dict[Partition, int]:
-    """The shape weights {f: w_f} of <I,J | I,J_Q> over the shapes f that
-    dominate both block shapes; every other w_f is 0."""
+    """The nonzero shape weights {f: w_f} of <I,J | I,J_Q>: only shapes f
+    that dominate both block shapes can have one."""
     rows, cols = _blocks(I), _blocks(J)
     conj = sorted(zip(rows, cols))
     plain = sorted(zip(rows, (cols[y] for y in Q)))
@@ -123,7 +123,7 @@ def shape_weights(I: Sequence, J: Sequence,
             map(factorial, Counter(plain).values()))
     rest = sum(dim_symmetric(f) * w for f, w in out.items())
     out[last] = (regular - rest) // dim_symmetric(last)
-    return out
+    return {f: w for f, w in out.items() if w}
 
 
 def _blocks(values: Sequence) -> list[int]:

@@ -14,22 +14,26 @@ over irreps f of the symmetric group (at fixed dimension n, restricted to f
 with at most n rows; symbolically, over all f, valid for n >= p).
 
 The engine never sums over classes: it folds the counts once into the shape
-weights w_f = sum_c N(c) chi_f(c), a tuple in ``partitions_of(p)`` order, and
-keeps only these per query (``_shape_weights``, the one per-query cache).  The
-moment is then sum_f w_f d_f^2 / ((p!)^2 dbar_f), folded on one of two routes
-with per-shape numerators over a common denominator, in the same order:
+weights w_f = sum_c N(c) chi_f(c), a dict {f: w_f} of the nonzero ones, and
+keeps only these per query (``_shape_weights``, the one per-query cache).
+They are nonzero only on shapes that dominate both block shapes, and a
+p-cycle's characters only on the p hooks, so the dict is often far smaller
+than the partitions of p.  The moment is sum_f w_f d_f^2 / ((p!)^2 dbar_f),
+and each route folds it over the dict alone, one term per shape in it:
 
 * symbolically, (p!)^2 dbar_f = d_f p! P_f(n) where P_f(n) = prod (n + content)
   over the cells of f, so every term shares the denominator (p!)^2 D_p(n) with
-  D_p the lcm of the P_f.  ``_fold_symbolic`` sums the numerators
-  w_f d_f p! D_p/P_f in integers over that denominator and reduces once, by
+  D_p the lcm of the P_f, whose factors have a closed form (``_lcm``).
+  ``_fold_symbolic`` sums the numerators w_f d_f p! D_p/P_f, cached per shape
+  (``_term``), in integers over that denominator and reduces once, by
   synthetic division with the linear factors n + content of D_p.
 * at fixed n, P_f(n) is an integer, zero exactly when f has more than n rows,
-  and the term is w_f d_f / (p! P_f(n)).  ``_fold_at`` sums w_f d_f L/P_f(n)
-  over the shapes with at most n rows, L the lcm of their P_f(n), and divides
-  once by p! L.
+  and the term is w_f / (H_f P_f(n)), H_f = p!/d_f the hook product of f.
+  ``_fold_at`` sums w_f L/(H_f P_f(n)) over the shapes in the dict with at
+  most n rows, L the lcm of their H_f P_f(n), and divides once by L.
 
-A class integral xi_p(c) is the same fold of the characters chi_f(c) alone.
+A class integral xi_p(c) is the same fold of the character column
+{f: chi_f(c)} alone.
 
 The weights are found on one of two routes, never by enumerating every
 pair, and both give the same integers:
@@ -57,23 +61,22 @@ raw pair sum |S_I|·|S_J|.
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, isqrt, lcm, perm, prod
 
 from . import _tabloids
 from ._counting import count_compositions
 from .partitions import (
     Partition,
+    _hook_product,
     compose,
     contents,
     dim_symmetric,
-    partitions_of,
     schur_expansion,
 )
 from .queries import CanonicalMoment, MomentQuery, canonicalize, orient, relabel
-from .ratfun import Poly, RationalFunction, expand
+from .ratfun import Poly, RationalFunction, _divide_linear, expand
 from .stabilizer import stabilizer
 
 PAIR_CAP = 10**8
@@ -87,86 +90,75 @@ def backend_name() -> str:
 # ---------------------------------------------------------------------------
 # shape weights and the two folds
 
-def _characters(ct: Partition) -> tuple[int, ...]:
-    """chi_f(ct) for every shape f, in ``partitions_of(p)`` order: a column
-    of the cached power-sum expansion."""
-    chi = schur_expansion("p", ct)
-    return tuple(chi.get(f, 0) for f in partitions_of(sum(ct)))
-
-
-def _weights(counts: dict[Partition, int], p: int) -> tuple[int, ...]:
-    """The shape weights w_f = sum_c counts[c] chi_f(c), in
-    ``partitions_of(p)`` order."""
-    w = [0] * len(partitions_of(p))
+def _weights(counts: dict[Partition, int]) -> dict[Partition, int]:
+    """The shape weights {f: w_f} over the w_f = sum_c counts[c] chi_f(c)
+    that are not 0."""
+    w: dict[Partition, int] = {}
     for ct, cnt in counts.items():
-        w = [a + cnt * chi for a, chi in zip(w, _characters(ct))]
-    return tuple(w)
+        for f, chi in schur_expansion("p", ct).items():
+            w[f] = w.get(f, 0) + cnt * chi
+    return {f: x for f, x in w.items() if x}
 
 
 @lru_cache(maxsize=None)
-def _shape_terms(p: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """The shifts k of D_p(n) = prod(n + k) and, per shape f of p in
-    ``partitions_of(p)`` order, the coefficients of the numerator
-    d_f p! D_p(n)/P_f(n) of its term d_f^2 / ((p!)^2 dbar_f)."""
-    shapes = partitions_of(p)
-    cells = [Counter(contents(f)) for f in shapes]
-    lcm_factors: Counter[int] = Counter()
-    for c in cells:
-        lcm_factors |= c
-    terms = tuple(
-        tuple(expand(dim_symmetric(f) * factorial(p),
-                     (lcm_factors - c).elements()))
-        for f, c in zip(shapes, cells)
-    )
-    return tuple(lcm_factors.elements()), terms
+def _lcm(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The shifts k of D_p(n) = prod(n + k), the lcm of the P_f(n) over the
+    shapes f of p, and the coefficients of p! D_p(n).  Content k occurs m
+    times in f exactly when f holds the m x (m + |k|) rectangle that starts
+    on k's diagonal, so D_p has the largest such m with m(m + |k|) <= p."""
+    shifts = tuple(k for k in range(1 - p, p)
+                   for _ in range((isqrt(k * k + 4 * p) - abs(k)) // 2))
+    return shifts, tuple(expand(factorial(p), shifts))
 
 
-def _fold_symbolic(weights: tuple[int, ...], p: int) -> RationalFunction:
+@lru_cache(maxsize=None)
+def _term(f: Partition) -> tuple[int, ...]:
+    """The coefficients of the numerator d_f p! D_p(n)/P_f(n) of the term
+    d_f^2 / ((p!)^2 dbar_f) of the shape f of p: p! D_p(n) divided by
+    n + c for each content c of f, every division exact."""
+    coeffs = list(_lcm(sum(f))[1])
+    for c in contents(f):
+        coeffs, _ = _divide_linear(coeffs, c)
+    d = dim_symmetric(f)
+    return tuple(d * x for x in coeffs)
+
+
+def _fold_symbolic(weights: dict[Partition, int], p: int) -> RationalFunction:
     """sum_f weights[f] d_f^2 / ((p!)^2 dbar_f) as one reduced rational
     function, valid for n >= p."""
-    shifts, terms = _shape_terms(p)
+    shifts = _lcm(p)[0]
     num = [0] * (len(shifts) + 1)
-    for w, term in zip(weights, terms):
-        if w:
-            for k, c in enumerate(term):
-                num[k] += w * c
+    for f, w in weights.items():
+        for k, c in enumerate(_term(f)):
+            num[k] += w * c
     return RationalFunction.over_linear(Poly(num), shifts, p, factorial(p) ** 2)
 
 
-@lru_cache(maxsize=4096)
-def _fixed_n_terms(p: int, n: int) -> tuple[int, tuple[int, ...]]:
-    """At dimension n: the common denominator p! L, L the lcm of P_f(n) over
-    the shapes f of p with at most n rows, and per shape f in
-    ``partitions_of(p)`` order the numerator d_f L/P_f(n) of its term
-    d_f^2 / ((p!)^2 dbar_f(n)) = d_f / (p! P_f(n)); 0 for a shape with more
-    than n rows, whose P_f(n) is 0."""
+def _fold_at(weights: dict[Partition, int], n: int) -> Fraction:
+    """sum_f weights[f] d_f^2 / ((p!)^2 dbar_f(n)) = weights[f] / (H_f
+    P_f(n)), H_f the hook product of f, over the shapes with at most n
+    rows, the others' P_f(n) being 0: one division by L, the lcm of their
+    H_f P_f(n).  Row i of f gives P_f(n) the factors n - i, ...,
+    n - i + f_i - 1."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    shapes = partitions_of(p)
-    values = [prod(n + c for c in contents(f)) for f in shapes]
-    common = lcm(*(v for v in values if v))
-    return factorial(p) * common, tuple(
-        dim_symmetric(f) * (common // v) if v else 0
-        for f, v in zip(shapes, values))
-
-
-def _fold_at(weights: tuple[int, ...], p: int, n: int) -> Fraction:
-    """sum_f weights[f] d_f^2 / ((p!)^2 dbar_f(n)) over the shapes with at
-    most n rows."""
-    den, terms = _fixed_n_terms(p, n)
-    return Fraction(sum(w * t for w, t in zip(weights, terms)), den)
+    terms = [(w, _hook_product(f) * prod(perm(n - i + row - 1, row)
+                                         for i, row in enumerate(f)))
+             for f, w in weights.items() if len(f) <= n]
+    common = lcm(*(v for _, v in terms))
+    return Fraction(sum(w * (common // v) for w, v in terms), common)
 
 
 @lru_cache(maxsize=None)
 def xi_symbolic(ct: Partition) -> RationalFunction:
     """Class integral as a rational function of n, valid for n >= p."""
-    return _fold_symbolic(_characters(ct), sum(ct))
+    return _fold_symbolic(schur_expansion("p", ct), sum(ct))
 
 
 @lru_cache(maxsize=4096)
 def xi_at(ct: Partition, n: int) -> Fraction:
     """Class integral at fixed dimension; shapes with more than n rows drop."""
-    return _fold_at(_characters(ct), sum(ct), n)
+    return _fold_at(schur_expansion("p", ct), n)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +220,10 @@ def _costs(GI, GJ, reps) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=4096)
-def _shape_weights(I: tuple, J: tuple, Q: tuple) -> tuple[int, ...]:
-    """The shape weights of <I,J | I,J_Q>, keyed on its oriented form, by
-    the cheaper route; refused when both cost more than PAIR_CAP."""
+def _shape_weights(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
+    """The nonzero shape weights {f: w_f} of <I,J | I,J_Q>, keyed on its
+    oriented form, by the cheaper route; refused when both cost more than
+    PAIR_CAP.  The dict is the cached one: read it, do not change it."""
     GI, GJ, reps = _double_coset(I, J, Q)
     compositions, tabloids = _costs(GI, GJ, reps)
     if min(compositions, tabloids) > PAIR_CAP:
@@ -239,11 +232,9 @@ def _shape_weights(I: tuple, J: tuple, Q: tuple) -> tuple[int, ...]:
             f"or their worth in tabloids (cap {PAIR_CAP}); "
             "use Monte Carlo estimation for this query"
         )
-    p = len(I)
     if tabloids < compositions:
-        weights = _tabloids.shape_weights(I, J, Q)
-        return tuple(weights.get(f, 0) for f in partitions_of(p))
-    return _weights(_enumerate(GI, GJ, reps, Q), p)
+        return _tabloids.shape_weights(I, J, Q)
+    return _weights(_enumerate(GI, GJ, reps, Q))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +257,7 @@ def moment_at(m: CanonicalMoment, n: int | None = None) -> Fraction:
     if m.p == 0:
         return Fraction(1)
     m = orient(relabel(m))
-    return _fold_at(_shape_weights(m.I, m.J, m.Q), m.p, n)
+    return _fold_at(_shape_weights(m.I, m.J, m.Q), n)
 
 
 def evaluate(q: MomentQuery, symbolic: bool = False):

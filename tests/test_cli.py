@@ -445,3 +445,15 @@ def test_empty_batch_imports_no_numpy(tmp_path):
                 if line.startswith("import time:")]
     assert "haarmoments.weingarten" in imported
     assert not [m for m in imported if m.split(".")[0] == "numpy"]
+    assert "haarmoments.suites" not in imported
+
+
+def test_parser_suite_literals_match_suites():
+    from haarmoments import cli, suites
+
+    assert cli._SUITE_NAMES == tuple(suites.SUITES)
+    assert cli._DEFAULT_SEED == suites.DEFAULT_SEED
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify"]).seed == suites.DEFAULT_SEED
+    for name in suites.SUITES:
+        assert parser.parse_args(["verify", "--suite", name]).suite == name

@@ -12,11 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from haarmoments import _counting, _tabloids, invariants, weingarten
-from haarmoments.partitions import (character, class_size, cycle_type,
-                                    dim_symmetric, dim_unitary_at,
-                                    hook_lengths, partitions_of,
-                                    schur_expansion)
-from haarmoments.queries import MomentQuery, canonicalize
+from haarmoments.partitions import (character, class_size, compose,
+                                    cycle_type, dim_symmetric,
+                                    dim_unitary_at, hook_lengths, inverse,
+                                    partitions_of, schur_expansion)
+from haarmoments.queries import MomentQuery, canonicalize, orient, relabel
 from haarmoments.ratfun import Poly, RationalFunction
 from haarmoments.stabilizer import stabilizer
 
@@ -103,12 +103,10 @@ def test_fixed_n_caches_are_bounded():
     # a batch may ask for a fresh n on every line
     ct = (2, 1)
     weingarten.xi_at.cache_clear()
-    weingarten._fixed_n_terms.cache_clear()
     before = [weingarten.xi_at(ct, n) for n in range(1, 9)]
     for n in range(1, 5001):
         weingarten.xi_at(ct, n)
     assert weingarten.xi_at.cache_info().currsize <= 4096
-    assert weingarten._fixed_n_terms.cache_info().currsize <= 4096
     assert [weingarten.xi_at(ct, n) for n in range(1, 9)] == before
     assert before[2:] == [Fraction(-1, (n - 2) * (n - 1) * (n + 1) * (n + 2))
                           for n in range(3, 9)]
@@ -229,9 +227,10 @@ def test_symbolic_matches_fixed_n_above_floor():
 
 
 @st.composite
-def _group_queries(draw):
-    """Nonzero queries of degree p <= 7 at n = p: K and L rearrange I, J."""
-    p = draw(st.integers(1, 7))
+def _group_queries(draw, max_p=7):
+    """Nonzero queries of degree p <= max_p at n = p: K and L rearrange I,
+    J."""
+    p = draw(st.integers(1, max_p))
     I = draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
     J = draw(st.lists(st.integers(1, p), min_size=p, max_size=p))
     K = draw(st.permutations(I))
@@ -267,6 +266,124 @@ def test_fixed_n_matches_row_restricted_class_sum_property(q):
                         cnt * dim_symmetric(f) ** 2 * character(f, ct),
                         fact_sq) / dim_unitary_at(f, n)
         assert weingarten.moment_at(m, n) == want, n
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)]
+            for row in A]
+
+
+def _pinv(G):
+    """The Moore–Penrose inverse of a square matrix of Fractions, from a
+    rank factorization G = C F: F the nonzero rows of the reduced row
+    echelon form and C the pivot columns of G, so that G+ =
+    F^T (F F^T)^-1 (C^T C)^-1 C^T."""
+    size = len(G)
+    rows = [list(r) for r in G]
+    pivots = []
+    for col in range(size):
+        at = next((r for r in range(len(pivots), size) if rows[r][col]), None)
+        if at is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[at] = rows[at], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for r in range(size):
+            if r != top and rows[r][col]:
+                rows[r] = [x - rows[r][col] * y
+                           for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+    F = rows[:len(pivots)]
+    C = [[r[c] for c in pivots] for r in G]
+
+    def inv(A):
+        k = len(A)
+        aug = [list(r) + [Fraction(int(i == j)) for j in range(k)]
+               for i, r in enumerate(A)]
+        for col in range(k):
+            at = next(r for r in range(col, k) if aug[r][col])
+            aug[col], aug[at] = aug[at], aug[col]
+            aug[col] = [x / aug[col][col] for x in aug[col]]
+            for r in range(k):
+                if r != col and aug[r][col]:
+                    aug[r] = [x - aug[r][col] * y
+                              for x, y in zip(aug[r], aug[col])]
+        return [r[k:] for r in aug]
+
+    Ft, Ct = [list(c) for c in zip(*F)], [list(c) for c in zip(*C)]
+    return _matmul(_matmul(Ft, inv(_matmul(F, Ft))),
+                   _matmul(inv(_matmul(Ct, C)), Ct))
+
+
+_GRAM_WG: dict = {}
+
+
+def _gram_weingarten(p, n):
+    """S_p in a fixed order, and Wg(sigma, tau) as the Moore–Penrose inverse
+    of the Gram matrix G(sigma, tau) = n^#cycles(sigma^-1 tau) of the
+    permutation operators on (C^n)^p (Collins–Śniady), n < p included: no
+    characters are used."""
+    if (p, n) not in _GRAM_WG:
+        perms = list(permutations(range(p)))
+        G = [[Fraction(n) ** len(cycle_type(compose(inverse(s), t)))
+              for t in perms] for s in perms]
+        W = _pinv(G)
+        GW = _matmul(G, W)
+        assert GW == [list(c) for c in zip(*GW)]
+        assert _matmul(GW, G) == G
+        _GRAM_WG[p, n] = perms, W
+    return _GRAM_WG[p, n]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_group_queries(4))
+def test_fixed_n_matches_gram_matrix_inverse_property(q):
+    # sum over sigma, tau of [I = K∘sigma] [J = L∘tau] Wg(sigma, tau), with
+    # Wg from the Gram matrix alone, at every n = 1..p+1
+    m = canonicalize(q)
+    for n in range(1, m.p + 2):
+        perms, W = _gram_weingarten(m.p, n)
+        rows = [i for i, s in enumerate(perms)
+                if all(q.I[a] == q.K[s[a]] for a in range(m.p))]
+        cols = [j for j, t in enumerate(perms)
+                if all(q.J[a] == q.L[t[a]] for a in range(m.p))]
+        want = sum((W[i][j] for i in rows for j in cols), Fraction(0))
+        assert weingarten.moment_at(m, n) == want, n
+
+
+def test_moment_at_refuses_dimension_below_one():
+    m = canonicalize(MomentQuery.make(2, (1, 2), (1, 1), (2, 1), (1, 1)))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            weingarten.moment_at(m, n)
+        with pytest.raises(ValueError, match="dimension must be at least 1"):
+            weingarten.xi_at((2, 1), n)
+
+
+def test_lcm_factors_closed_form():
+    # D_p, the lcm of the P_f over every shape f of p
+    for p in range(0, 21):
+        union = Counter()
+        for f in partitions_of(p):
+            union |= Counter(j - i for i, row in enumerate(f)
+                             for j in range(row))
+        assert Counter(weingarten._lcm(p)[0]) == union, p
+
+
+def test_fold_builds_terms_only_for_the_support():
+    # one row against 24 distinct columns: the only nonzero weight is on
+    # (24), out of 1,575 shapes of 24
+    weingarten._shape_weights.cache_clear()
+    weingarten._term.cache_clear()
+    m = canonicalize(invariants.fan_query((1,) * 24))
+    got = weingarten.moment_symbolic(m)
+    assert got == invariants.fan((1,) * 24)
+    key = orient(relabel(m))
+    assert list(weingarten._shape_weights(key.I, key.J, key.Q)) == [(24,)]
+    assert weingarten._term.cache_info().currsize == 1
+    # the fixed-n fold builds no term
+    assert weingarten.moment_at(m, 30) == got.eval_at(30)
+    assert weingarten._term.cache_info().currsize == 1
 
 
 def _random_perms(rng, count, p):
@@ -387,7 +504,7 @@ def test_moment_at_accepts_canonical_directly():
 def _tabloid_weights(I, J, Q):
     w = _tabloids.shape_weights(I, J, Q)
     assert set(w) <= set(partitions_of(len(I)))
-    return tuple(w.get(f, 0) for f in partitions_of(len(I)))
+    return w
 
 
 def _route(I, J, Q):
@@ -410,10 +527,12 @@ def _weight_triples(draw):
 @given(_weight_triples())
 def test_tabloid_route_matches_enumeration_property(triple):
     I, J, Q = triple
-    compositions, tabloids = weingarten._costs(
-        *weingarten._double_coset(I, J, Q))
+    coset = weingarten._double_coset(I, J, Q)
+    compositions, tabloids = weingarten._costs(*coset)
     assume(compositions <= 50000 and tabloids <= 500000)
-    want = weingarten._weights(weingarten.class_counts(I, J, Q), len(I))
+    # the engine's enumeration, which the raw pair cap of class_counts
+    # would refuse for one row against one column (8!^2 pairs)
+    want = weingarten._weights(weingarten._enumerate(*coset, Q))
     assert _tabloid_weights(I, J, Q) == want
 
 
@@ -429,8 +548,7 @@ def test_tabloid_route_matches_enumeration_on_heavy_shapes():
         J = [k for k, m in enumerate(b) for _ in range(m)]
         rng.shuffle(J)
         Q = tuple(rng.sample(range(len(I)), len(I)))
-        want = weingarten._weights(
-            weingarten.class_counts(I, tuple(J), Q), len(I))
+        want = weingarten._weights(weingarten.class_counts(I, tuple(J), Q))
         assert _tabloid_weights(I, tuple(J), Q) == want, (a, b)
 
 
@@ -503,7 +621,7 @@ def test_route_choice_by_cost(monkeypatch):
     assert _route((1, 2, 2, 3, 3, 2, 4, 3), (1, 2, 1, 3, 2, 1, 4, 5),
                   (0, 2, 6, 3, 5, 7, 1, 4)) == "compositions"
     # the engine follows the choice
-    want = weingarten._weights(weingarten.class_counts(I, J, Q), 9)
+    want = weingarten._weights(weingarten.class_counts(I, J, Q))
 
     def refuse(*args):
         raise AssertionError("the enumeration ran")
