@@ -12,6 +12,12 @@ Subcommands:
   verify   run one of the named verification suites
 
 Exit codes: 0 success, 1 verification/estimate mismatch, 2 usage error.
+
+Every exact JSON result, a ``moment --batch`` line or ``--output json``, is
+written by one formatter, ``_result_line``, which gives the bytes of
+``json.dumps`` without building the document.  ``--batch`` writes each
+answer as one ``write`` call as soon as it is computed; error lines go
+through ``json.dumps``, because their strings need escaping.
 """
 from __future__ import annotations
 
@@ -53,31 +59,35 @@ def _format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _value_json(value, symbolic: bool) -> dict:
-    if symbolic:
-        return {"kind": "ratfun", "ratfun": str(value)}
-    return {"kind": "rational", "rational": str(value),
-            "float": float(value)}
-
-
-def _result_doc(value, query_json, method) -> dict:
-    """The JSON result document of one computed exact value."""
-    symbolic = isinstance(value, RationalFunction)
-    doc = {}
-    if query_json is not None:
-        doc["query"] = query_json
+def _result_line(value, query=None, method=None) -> str:
+    """The JSON result document of one computed exact value, as one line:
+    the bytes ``json.dumps`` gives the document, written directly.  Every
+    string in it (method labels, fractions, rational functions) is plain
+    ASCII that needs no escaping."""
+    out = []
+    if query is not None:
+        out.append(f'"query": {{"n": {query.n}, "I": [{_ints(query.I)}], '
+                   f'"J": [{_ints(query.J)}], "K": [{_ints(query.K)}], '
+                   f'"L": [{_ints(query.L)}]}}')
     if method is not None:
-        doc["method"] = method
-    doc["value"] = _value_json(value, symbolic)
-    if symbolic:
-        doc["validity_min_n"] = value.validity_min_n
-    return doc
+        out.append(f'"method": "{method}"')
+    if isinstance(value, RationalFunction):
+        out.append(f'"value": {{"kind": "ratfun", "ratfun": "{value}"}}, '
+                   f'"validity_min_n": {value.validity_min_n}')
+    else:
+        out.append(f'"value": {{"kind": "rational", "rational": "{value}", '
+                   f'"float": {float(value)!r}}}')
+    return "{" + ", ".join(out) + "}"
 
 
-def _emit(value, output: str, query_json=None, method=None) -> None:
+def _ints(seq) -> str:
+    return ", ".join(map(str, seq))
+
+
+def _emit(value, output: str, query=None, method=None) -> None:
     """Print one computed exact value in the requested representation."""
     if output == "json":
-        print(json.dumps(_result_doc(value, query_json, method)))
+        print(_result_line(value, query, method))
     elif isinstance(value, RationalFunction):
         print(str(value))
     elif output == "float":
@@ -109,7 +119,7 @@ def _cmd_moment(args) -> int:
     q = MomentQuery.make(n, I, J, K, L)
     symbolic = args.symbolic or args.output == "symbolic"
     value, label = invariants.moment(q, args.method, symbolic)
-    _emit(value, args.output, query_json=q.to_json_obj(), method=label)
+    _emit(value, args.output, query=q, method=label)
     return 0
 
 
@@ -117,6 +127,7 @@ def _run_batch(args) -> int:
     # A byte that does not decode is read as a surrogate escape, and only
     # the line holding it fails.
     failures = 0
+    write = sys.stdout.write
     if args.batch == "-":
         if hasattr(sys.stdin, "reconfigure"):
             sys.stdin.reconfigure(errors="surrogateescape")
@@ -143,11 +154,12 @@ def _run_batch(args) -> int:
                 symbolic = symbolic or args.symbolic
                 method = obj.get("method", args.method)
                 value, label = invariants.moment(q, method, symbolic)
-                print(json.dumps(_result_doc(value, q.to_json_obj(), label)))
+                write(_result_line(value, q, label) + "\n")
             except (ValueError, ZeroDivisionError, KeyError,
                     RecursionError) as e:
                 failures += 1
-                print(json.dumps({"error": str(e), "input": _shown(line)}))
+                write(json.dumps({"error": str(e), "input": _shown(line)})
+                      + "\n")
     return 1 if failures else 0
 
 
@@ -213,7 +225,8 @@ def _cmd_sphere(args) -> int:
     value = sphere.sphere_moment(exponents)
     if args.output == "json":
         print(json.dumps({"exponents": list(exponents), "n": args.n,
-                          "value": _value_json(value, False)}))
+                          "value": {"kind": "rational", "rational": str(value),
+                                    "float": float(value)}}))
     elif args.output == "float":
         print(_format_float(float(value)))
     elif args.output == "exact":

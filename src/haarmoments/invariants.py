@@ -414,35 +414,37 @@ def verify_relation(name: str, *args, **kwargs) -> bool:
 # closed-form recognition for canonical moments (sound, not complete: a miss
 # means "fall back to the group engine", never a wrong value)
 
-def _match_direct(w: Counter, rows, cols):
+def _match_direct(w: dict, rows, cols):
     if len(rows) == 1:
-        ms = sorted((w[(rows[0], c)] for c in cols), reverse=True)
+        ms = sorted((w.get((rows[0], c), 0) for c in cols), reverse=True)
         return ("fan", fan(tuple(ms)))
     if len(cols) == 1:
-        ms = sorted((w[(r, cols[0])] for r in rows), reverse=True)
+        ms = sorted((w.get((r, cols[0]), 0) for r in rows), reverse=True)
         return ("fan", fan(tuple(ms)))
     if len(rows) == 2 and len(cols) == 2:
         r1, r2 = rows
         c1, c2 = cols
         for i, j in ((r1, r2), (r2, r1)):
-            support = [c for c in (c1, c2) if w[(i, c)] > 0]
+            support = [c for c in (c1, c2) if (i, c) in w]
             if len(support) == 1:
                 a = support[0]
                 b = c2 if a == c1 else c1
-                return ("z", z_integral(w[(i, a)], w[(j, a)], w[(j, b)]))
+                return ("z", z_integral(w[(i, a)], w.get((j, a), 0),
+                                        w.get((j, b), 0)))
     return None
 
 
-def _match_exchange(wc: Counter, wp: Counter, rows, cols):
+def _match_exchange(wc: dict, wp: dict, rows, cols):
     """x4(t, u) in any orientation: either order of the rows and of the
     columns, transposed or not.  With its columns swapped, x5(t, u) is
     x4(u, t), and with its conjugated and plain factors swapped, x4(t, u)
     is x5(t-1, u+1); so x4 answers every x5 moment, however it is written."""
     if len(rows) != 2 or len(cols) != 2:
         return None
+    c, d = wc.get, wp.get
     for (i, j), (a, b) in product(permutations(rows), permutations(cols)):
-        r, s, t, u = wc[(i, a)], wc[(i, b)], wc[(j, b)], wc[(j, a)]
-        rp, sp, tp, up = wp[(i, a)], wp[(i, b)], wp[(j, b)], wp[(j, a)]
+        r, s, t, u = c((i, a), 0), c((i, b), 0), c((j, b), 0), c((j, a), 0)
+        rp, sp, tp, up = d((i, a), 0), d((i, b), 0), d((j, b), 0), d((j, a), 0)
         # the transposed orientation reads the loop the other way round
         for w in ((r, s, t, u, rp, sp, tp, up), (r, u, t, s, rp, up, tp, sp)):
             if x_family(w) == "x4":
@@ -453,6 +455,14 @@ def _match_exchange(wc: Counter, wp: Counter, rows, cols):
 def _pairs(m: CanonicalMoment) -> tuple[list, list]:
     """The conjugated pairs (I[a], J[a]) and the plain pairs (I[a], J[Q[a]])."""
     return list(zip(m.I, m.J)), [(m.I[a], m.J[m.Q[a]]) for a in range(m.p)]
+
+
+def _counts(pairs) -> dict:
+    """How often each pair occurs; absent pairs occur 0 times."""
+    out: dict = {}
+    for pair in pairs:
+        out[pair] = out.get(pair, 0) + 1
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -482,7 +492,7 @@ def match_closed_form(m: CanonicalMoment):
         return ("zero", RationalFunction.zero())
     if m.p == 0:
         return ("normalization", RationalFunction.one())
-    conj, plain = map(Counter, _pairs(m))
+    conj, plain = map(_counts, _pairs(m))
     rows = sorted(set(m.I))
     cols = sorted(set(m.J))
     if conj == plain:

@@ -7,14 +7,21 @@ permutation of I and L is a permutation of J; otherwise the monomial can be
 rewritten so the plain rows equal I exactly, leaving a single permutation Q
 that says how the plain columns are matched against J.  That (I, J, Q) triple
 is what the group engine consumes.
+
+Every ``moment --batch`` line passes through here once, so each step takes
+one pass: ``MomentQuery.from_json_obj`` checks each list's entries once,
+and ``canonicalize`` checks the index range with ``min``/``max``, tests for
+zero on sorted lists and takes each first-fit match from a per-value queue
+of positions, O(p log p) in all.  The records are plain ``__slots__``
+classes (``_record``), so importing this module does not import
+``dataclasses``.
 """
 from __future__ import annotations
 
 import json
-from collections import Counter
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record, _set
 from .partitions import Perm, inverse
 from .stabilizer import stabilizer
 
@@ -26,13 +33,27 @@ def is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class MomentQuery:
-    n: int
-    I: Indices
-    J: Indices
-    K: Indices
-    L: Indices
+def _is_int_list(seq) -> bool:
+    """True for a list of JSON integers.  Entries of type exactly int take
+    the fast check; anything else is judged by ``is_int``."""
+    if not isinstance(seq, list):
+        return False
+    for v in seq:
+        if type(v) is not int:
+            return all(map(is_int, seq))
+    return True
+
+
+class MomentQuery(Record):
+    __slots__ = ("n", "I", "J", "K", "L")
+
+    def __init__(self, n: int, I: Indices, J: Indices, K: Indices,
+                 L: Indices):
+        _set(self, "n", n)
+        _set(self, "I", I)
+        _set(self, "J", J)
+        _set(self, "K", K)
+        _set(self, "L", L)
 
     @classmethod
     def make(cls, n: int, I: Sequence[int], J: Sequence[int],
@@ -56,27 +77,30 @@ class MomentQuery:
         lists = []
         for name in "IJKL":
             seq = obj.get(name, [])
-            if not isinstance(seq, list) or not all(map(is_int, seq)):
+            if not _is_int_list(seq):
                 raise ValueError(f"{name} must be a list of integers")
-            lists.append(seq)
+            lists.append(tuple(seq))
         if "n" not in obj:
-            n = max((v for seq in lists for v in seq), default=1)
+            n = max((max(seq) for seq in lists if seq), default=1)
         elif is_int(obj["n"]):
             n = obj["n"]
         else:
             raise ValueError("n must be an integer")
-        return cls.make(n, *lists)
+        return cls(n, *lists)
 
 
-@dataclass(frozen=True)
-class CanonicalMoment:
+class CanonicalMoment(Record):
     """Either the zero marker, or the aligned form <I,J | I,J_Q>."""
-    n: int
-    p: int
-    I: Indices
-    J: Indices
-    Q: Perm
-    zero: bool = False
+    __slots__ = ("n", "p", "I", "J", "Q", "zero")
+
+    def __init__(self, n: int, p: int, I: Indices, J: Indices, Q: Perm,
+                 zero: bool = False):
+        _set(self, "n", n)
+        _set(self, "p", p)
+        _set(self, "I", I)
+        _set(self, "J", J)
+        _set(self, "Q", Q)
+        _set(self, "zero", zero)
 
 
 def canonicalize(q: MomentQuery) -> CanonicalMoment:
@@ -86,39 +110,41 @@ def canonicalize(q: MomentQuery) -> CanonicalMoment:
     1..n).  Returns the zero marker exactly when the multiset conditions fail:
     unequal degrees, K not a rearrangement of I, or L not one of J.
     """
-    if len(q.I) != len(q.J) or len(q.K) != len(q.L):
+    I, J, K, L, n = q.I, q.J, q.K, q.L, q.n
+    p = len(I)
+    if len(J) != p or len(K) != len(L):
         raise ValueError("row and column lists must have equal lengths")
-    for name, seq in (("I", q.I), ("J", q.J), ("K", q.K), ("L", q.L)):
-        for v in seq:
-            if not 1 <= v <= q.n:
-                raise ValueError(f"{name} contains index {v} outside 1..{q.n}")
-    p = len(q.I)
-    if len(q.K) != p or Counter(q.K) != Counter(q.I) or Counter(q.L) != Counter(q.J):
-        return CanonicalMoment(q.n, p, (), (), (), zero=True)
-
-    # lexicographically smallest R with K[a] == I[R[a]]
-    used = [False] * p
-    R = []
-    for a in range(p):
-        for b in range(p):
-            if not used[b] and q.I[b] == q.K[a]:
-                R.append(b)
-                used[b] = True
-                break
-    Rperm = tuple(R)
-    Rinv = inverse(Rperm)
-    aligned_L = tuple(q.L[Rinv[a]] for a in range(p))
-
+    values = (*I, *J, *K, *L)
+    if values and (min(values) < 1 or max(values) > n):
+        for name, seq in (("I", I), ("J", J), ("K", K), ("L", L)):
+            for v in seq:
+                if not 1 <= v <= n:
+                    raise ValueError(
+                        f"{name} contains index {v} outside 1..{n}")
+    if len(K) != p or sorted(K) != sorted(I) or sorted(L) != sorted(J):
+        return CanonicalMoment(n, p, (), (), (), zero=True)
+    # lexicographically smallest R with K[a] == I[R[a]], and L carried
+    # along it: aligned_L[R[a]] = L[a]
+    aligned_L = [0] * p
+    for a, b in enumerate(_first_fit(I, K)):
+        aligned_L[b] = L[a]
     # stable first-fit Q with J[Q[a]] == aligned_L[a]
-    used = [False] * p
-    Q = []
-    for a in range(p):
-        for b in range(p):
-            if not used[b] and q.J[b] == aligned_L[a]:
-                Q.append(b)
-                used[b] = True
-                break
-    return CanonicalMoment(q.n, p, q.I, q.J, tuple(Q))
+    return CanonicalMoment(n, p, I, J, _first_fit(J, aligned_L))
+
+
+def _first_fit(source: Sequence[int], target: Sequence[int]) -> Perm:
+    """For each a in order, the smallest position b not yet taken with
+    source[b] == target[a].  Each value's positions in ``source`` form a
+    queue, taken from the front.  ``target`` must be a rearrangement of
+    ``source``."""
+    queues: dict[int, list[int]] = {}
+    for b, v in enumerate(source):
+        if v in queues:
+            queues[v].append(b)
+        else:
+            queues[v] = [b]
+    fronts = {v: iter(bs) for v, bs in queues.items()}
+    return tuple([next(fronts[v]) for v in target])
 
 
 def relabel(m: CanonicalMoment) -> CanonicalMoment:

@@ -7,18 +7,20 @@ right cosets modulo a finer Young subgroup (``YoungSubgroup.cosets``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
 from math import comb, factorial, prod
 from typing import Hashable, Iterator, Sequence
 
+from ._record import Record, _set
 from .partitions import Perm
 
 
-@dataclass(frozen=True)
-class YoungSubgroup:
-    degree: int
-    blocks: tuple[tuple[int, ...], ...]
+class YoungSubgroup(Record):
+    __slots__ = ("degree", "blocks")
+
+    def __init__(self, degree: int, blocks: tuple[tuple[int, ...], ...]):
+        _set(self, "degree", degree)
+        _set(self, "blocks", blocks)
 
     @property
     def order(self) -> int:
@@ -40,8 +42,7 @@ class YoungSubgroup:
         return iter(CosetReps(self.degree, trivial))
 
 
-@dataclass(frozen=True)
-class CosetReps:
+class CosetReps(Record):
     """Right-coset representatives of a Young subgroup H in a Young subgroup
     G containing it.
 
@@ -51,8 +52,12 @@ class CosetReps:
     positions, each H-block's members kept in increasing order: a
     multinomial number per G-block.
     """
-    degree: int
-    blocks: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ("degree", "blocks")
+
+    def __init__(self, degree: int,
+                 blocks: tuple[tuple[tuple[int, ...], ...], ...]):
+        _set(self, "degree", degree)
+        _set(self, "blocks", blocks)
 
     @property
     def order(self) -> int:

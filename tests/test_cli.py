@@ -4,12 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import haarmoments
-from haarmoments.cli import main
+from haarmoments.cli import _result_line, main
+from haarmoments.queries import MomentQuery
+from haarmoments.ratfun import Poly, RationalFunction
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +98,65 @@ def test_moment_zero_query(capsys):
                            "--J", "1", "--K", "2", "--L", "1")
     assert code == 0
     assert out.strip() == "0"
+
+
+def _result_doc(value, query, method) -> dict:
+    """The documented JSON result document of one exact value."""
+    doc = {}
+    if query is not None:
+        doc["query"] = query.to_json_obj()
+    if method is not None:
+        doc["method"] = method
+    if isinstance(value, RationalFunction):
+        doc["value"] = {"kind": "ratfun", "ratfun": str(value)}
+        doc["validity_min_n"] = value.validity_min_n
+    else:
+        doc["value"] = {"kind": "rational", "rational": str(value),
+                        "float": float(value)}
+    return doc
+
+
+_BIG = st.integers(-2**80, 2**80)
+_FRACTIONS = st.one_of(
+    st.just(Fraction(0)), st.fractions(),
+    st.builds(Fraction, _BIG, st.integers(1, 2**80)))
+_RATFUNS = st.builds(
+    lambda coeffs, shifts, validity, const: RationalFunction.over_linear(
+        Poly(tuple(coeffs)), shifts, validity, const),
+    st.lists(_BIG, max_size=5), st.lists(st.integers(-6, 6), max_size=6),
+    st.integers(0, 9), st.integers(1, 2**70) | st.integers(-2**70, -1))
+_INDICES = st.lists(st.integers(1, 2**70), max_size=6)
+_QUERIES = st.none() | st.builds(MomentQuery.make, st.integers(-5, 2**70),
+                                 _INDICES, _INDICES, _INDICES, _INDICES)
+_METHODS = st.none() | st.sampled_from(
+    ("group", "invariant:fan", "invariant:z", "invariant:x4",
+     "invariant:zero", "invariant:normalization", "invariant:6g"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_FRACTIONS | _RATFUNS, _QUERIES, _METHODS)
+def test_result_line_is_json_dumps_of_the_result_document(value, query,
+                                                          method):
+    assert _result_line(value, query, method) == json.dumps(
+        _result_doc(value, query, method))
+
+
+def test_batch_writes_one_line_per_answer(tmp_path, monkeypatch):
+    path = tmp_path / "queries.jsonl"
+    path.write_text('{"n": 3, "I": [1], "J": [2], "K": [1], "L": [2]}\n'
+                    'oops\n{"I": [1, 2], "J": [1, 2], "K": [1, 2], '
+                    '"L": [2, 1], "symbolic": true}\n')
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr("sys.stdout", Recorder())
+    assert main(["moment", "--batch", str(path)]) == 1
+    assert len(writes) == 3 and all(w.count("\n") == 1 and w.endswith("\n")
+                                    for w in writes)
+    assert json.loads(writes[1])["input"] == "oops"
 
 
 def test_batch_mode(tmp_path, capsys):
@@ -446,6 +510,7 @@ def test_empty_batch_imports_no_numpy(tmp_path):
     assert "haarmoments.weingarten" in imported
     assert not [m for m in imported if m.split(".")[0] == "numpy"]
     assert "haarmoments.suites" not in imported
+    assert "dataclasses" not in imported and "inspect" not in imported
 
 
 def test_parser_suite_literals_match_suites():

@@ -1,10 +1,19 @@
 """Query model: validation, zero detection, canonical alignment, rewrites."""
+import copy
 import json
+import pickle
+import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from haarmoments.invariants import moment
 from haarmoments.queries import (CanonicalMoment, MomentQuery, alignments,
                                  canonicalize, orient, relabel, transpose)
+from haarmoments.stabilizer import CosetReps, YoungSubgroup
+from haarmoments.weingarten import PAIR_CAP
 
 
 def test_canonicalize_validates_lengths():
@@ -28,11 +37,38 @@ def test_from_json_obj_defaults_and_refusals():
                                    "K": [3, 1], "L": [1, 2]})
     assert q == MomentQuery.make(3, (1, 3), (2, 1), (3, 1), (1, 2))
     assert MomentQuery.from_json_obj({}) == MomentQuery.make(1, (), (), (), ())
-    for bad in ([1, 2], "q", None, {"I": 5}, {"J": [1, "2"]}, {"K": [1.0]},
-                {"L": [False]}, {"n": [2]}, {"n": float("inf")}, {"n": 2.9},
-                {"n": True}, {"n": "3"}):
-        with pytest.raises(ValueError):
+    not_object = "query must be a JSON object"
+    not_int = "n must be an integer"
+    for bad, message in (
+            ([1, 2], not_object), ("q", not_object), (None, not_object),
+            ({"I": 5}, "I must be a list of integers"),
+            ({"I": (1, 2)}, "I must be a list of integers"),
+            ({"J": [1, "2"]}, "J must be a list of integers"),
+            ({"K": [1.0]}, "K must be a list of integers"),
+            ({"L": [False]}, "L must be a list of integers"),
+            ({"I": [[1]]}, "I must be a list of integers"),
+            ({"L": [1, None]}, "L must be a list of integers"),
+            # the lists are read before n, in the order I, J, K, L
+            ({"n": "x", "K": [1.5], "J": ["x"]}, "J must be a list of integers"),
+            ({"n": [2]}, not_int), ({"n": float("inf")}, not_int),
+            ({"n": 2.9}, not_int), ({"n": 2.0}, not_int),
+            ({"n": True}, not_int), ({"n": "3"}, not_int),
+            ({"n": None}, not_int)):
+        with pytest.raises(ValueError) as refused:
             MomentQuery.from_json_obj(bad)
+        assert str(refused.value) == message, bad
+
+
+def test_from_json_obj_takes_int_subclasses_but_not_bools():
+    class Index(int):
+        pass
+
+    q = MomentQuery.from_json_obj({"I": [1, Index(4)], "J": [Index(2), 1],
+                                   "K": [Index(4), 1], "L": [1, 2]})
+    assert q == MomentQuery.make(4, (1, 4), (2, 1), (4, 1), (1, 2))
+    assert isinstance(q.I, tuple) and isinstance(q.L, tuple)
+    with pytest.raises(ValueError, match="K must be a list of integers"):
+        MomentQuery.from_json_obj({"K": [Index(1), True]})
 
 
 def test_zero_when_multisets_differ():
@@ -102,3 +138,141 @@ def test_orient_moves_larger_stabilizer_first():
 def test_zero_marker_is_stable_under_rewrites():
     m = canonicalize(MomentQuery.make(2, (1,), (1,), (2,), (1,)))
     assert relabel(m).zero and transpose(m).zero
+
+
+# ---------------------------------------------------------------------------
+# canonicalize against the first-fit reference
+
+
+def _first_fit_canonicalize(q: MomentQuery) -> CanonicalMoment:
+    """Canonicalize as two quadratic first-fit loops over multiset counts:
+    the reference for the position queues of ``canonicalize``."""
+    if len(q.I) != len(q.J) or len(q.K) != len(q.L):
+        raise ValueError("row and column lists must have equal lengths")
+    for name, seq in (("I", q.I), ("J", q.J), ("K", q.K), ("L", q.L)):
+        for v in seq:
+            if not 1 <= v <= q.n:
+                raise ValueError(f"{name} contains index {v} outside 1..{q.n}")
+    p = len(q.I)
+    if (len(q.K) != p or Counter(q.K) != Counter(q.I)
+            or Counter(q.L) != Counter(q.J)):
+        return CanonicalMoment(q.n, p, (), (), (), zero=True)
+    used = [False] * p
+    R = []
+    for a in range(p):
+        for b in range(p):
+            if not used[b] and q.I[b] == q.K[a]:
+                R.append(b)
+                used[b] = True
+                break
+    Rinv = [0] * p
+    for a, b in enumerate(R):
+        Rinv[b] = a
+    aligned_L = tuple(q.L[Rinv[a]] for a in range(p))
+    used = [False] * p
+    Q = []
+    for a in range(p):
+        for b in range(p):
+            if not used[b] and q.J[b] == aligned_L[a]:
+                Q.append(b)
+                used[b] = True
+                break
+    return CanonicalMoment(q.n, p, q.I, q.J, tuple(Q))
+
+
+@st.composite
+def _raw_queries(draw):
+    """Queries of degree <= 7 over n <= 4: aligned (K, L rearrangements of
+    I, J), free (any K, L: mostly zero), of unequal lengths, or with one
+    index outside 1..n."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(0, 7))
+    index = st.integers(1, n)
+    I = draw(st.lists(index, min_size=p, max_size=p))
+    J = draw(st.lists(index, min_size=p, max_size=p))
+    kind = draw(st.sampled_from(("aligned", "free", "length", "range")))
+    if kind == "aligned":
+        K, L = draw(st.permutations(I)), draw(st.permutations(J))
+    else:
+        K = draw(st.lists(index, min_size=p, max_size=p))
+        L = draw(st.lists(index, min_size=p, max_size=p))
+    lists = [I, J, K, L]
+    if kind == "length":
+        lists[draw(st.integers(0, 3))].append(1)
+    elif kind == "range":
+        seq = lists[draw(st.integers(0, 3))]
+        seq.insert(draw(st.integers(0, len(seq))),
+                   draw(st.sampled_from((0, -1, n + 1, n + 5))))
+    return MomentQuery.make(n, *lists)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(_raw_queries())
+def test_canonicalize_matches_first_fit_reference(q):
+    try:
+        want = _first_fit_canonicalize(q)
+    except ValueError as e:
+        with pytest.raises(ValueError) as refused:
+            canonicalize(q)
+        assert str(refused.value) == str(e)
+        return
+    got = canonicalize(q)
+    assert got == want and got.zero == want.zero
+
+
+def test_canonicalize_large_degree_is_fast_and_still_refused():
+    k = 10_000
+    q = MomentQuery.make(2, (1, 2) * k, (1, 2) * k, (2, 1) * k, (1, 2) * k)
+    start = time.perf_counter()
+    m = canonicalize(q)
+    assert time.perf_counter() - start < 3.0
+    assert not m.zero and m.p == 2 * k
+    assert m.Q == tuple(b for a in range(0, 2 * k, 2) for b in (a + 1, a))
+    with pytest.raises(ValueError, match=rf"\(cap {PAIR_CAP}\)"):
+        moment(q)
+
+
+# ---------------------------------------------------------------------------
+# the records
+
+
+_RECORDS = [
+    (MomentQuery, ("n", "I", "J", "K", "L"),
+     (3, (1, 2), (1, 2), (2, 1), (2, 1))),
+    (CanonicalMoment, ("n", "p", "I", "J", "Q", "zero"),
+     (3, 2, (1, 2), (1, 2), (1, 0), False)),
+    (YoungSubgroup, ("degree", "blocks"), (3, ((0, 2), (1,)))),
+    (CosetReps, ("degree", "blocks"), (3, (((0,), (2,)), ((1,),)))),
+]
+
+
+@pytest.mark.parametrize("cls, fields, values", _RECORDS,
+                         ids=[r[0].__name__ for r in _RECORDS])
+def test_records_are_immutable_values(cls, fields, values):
+    a = cls(*values)
+    b = cls(**dict(zip(fields, values)))
+    assert tuple(getattr(a, f) for f in fields) == values
+    assert a == b and a is not b and hash(a) == hash(b) == hash(values)
+    assert len({a, b}) == 1
+    other = cls(*values[:-1], ())
+    assert a != other and not a == other
+    assert a != values and values != a
+    assert repr(a) == cls.__name__ + "(" + ", ".join(
+        f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert tuple(getattr(a, f) for f in fields) == values
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+    assert copy.deepcopy(a) == a
+
+
+def test_canonical_moment_is_nonzero_by_default():
+    m = CanonicalMoment(2, 1, (1,), (1,), (0,))
+    assert m.zero is False and m == CanonicalMoment(2, 1, (1,), (1,), (0,),
+                                                    False)
+    assert m != CanonicalMoment(2, 1, (1,), (1,), (0,), zero=True)
