@@ -9,19 +9,30 @@ Two kinds of case:
 * ``shape_weights``: ``weingarten._shape_weights`` as ``moment_symbolic``
   calls it (the call is timed inside ``moment_symbolic``), on the same six
   cases plus the no-reduction worst case I=1^4 2^4 3^4, J=(1,2,3,4)x3, one
-  row against nine distinct columns, the six balanced batch-heavy keys, and
-  two many-block keys, one on each side of ``_counting._LOOP_MAX``.  This
-  is the engine's per-query work, by whichever route it takes.
+  row against nine distinct columns, the six balanced batch-heavy keys, the
+  four slowest of the others, and two many-block keys, one on each side of
+  ``_counting._LOOP_MAX``.  This is the engine's per-query work, by
+  whichever route it takes.
+* ``warm_heavy``: ``_tabloids.shape_weights`` warm, on the 25 batch-heavy
+  keys of the benchmark's seed 3, keyed as the engine keys them.  One fresh
+  process fills the caches with one pass and then takes the best of five
+  passes, for all keys together and for each key alone.  Each key's time is
+  also given per tabloid the route counts: the nu-tabloids over the shapes
+  nu that dominate both block shapes, but the last.  This is the unit of
+  ``_tabloids.TABLOID_WEIGHT``.
 
 Each case runs cold in a fresh interpreter, so no cache filled by an earlier
 case is reused.  Every case is run ``--repeat`` times.  The results go to a
 JSON file under a label, one entry per label, so that runs of two commits
 can share one file; digests of the class counts and of the shape weights
 are stored too, so the entries can be checked for equal results.
+``--check`` does that check: it exits 1 if two entries of the file give one
+case different digests.
 
 Usage (from the repository root):
   PYTHONPATH=src python3 benchmarks/bench_counting.py --label NAME
       [--repeat N] [--out BENCH_counting.json]
+  python3 benchmarks/bench_counting.py --check [--out BENCH_counting.json]
 """
 import argparse
 import hashlib
@@ -33,6 +44,7 @@ import statistics
 import subprocess
 import sys
 import time
+from math import factorial, prod
 from pathlib import Path
 
 CASES = [
@@ -64,6 +76,16 @@ WEIGHT_CASES = CASES + [
      (1, 2, 3, 2, 1, 1, 2, 2), (1, 2, 3, 0, 4, 5, 6, 7)),
     ("heavy (5,2,2)x(3,2,2,2) H=2", (1, 2, 2, 1, 1, 1, 3, 1, 3),
      (1, 1, 2, 3, 4, 4, 2, 3, 4), (3, 4, 2, 5, 0, 6, 1, 7, 8)),
+    # the slowest of the other batch-heavy keys (seed 3), which set the
+    # workload's tail
+    ("heavy (4,4,1)x(3,2,2,2) H=1", (1, 2, 1, 3, 2, 2, 1, 2, 1),
+     (1, 2, 1, 3, 3, 4, 4, 2, 2), (1, 0, 5, 7, 8, 6, 3, 4, 2)),
+    ("heavy (5,3,1)x(4,3,2) H=8", (1, 1, 2, 1, 3, 1, 2, 1, 2),
+     (1, 2, 3, 2, 3, 3, 2, 2, 1), (1, 2, 3, 6, 4, 5, 7, 0, 8)),
+    ("heavy (5,3,1)x(3,3,2,1) H=4", (1, 1, 1, 2, 1, 2, 1, 2, 3),
+     (1, 2, 1, 2, 3, 4, 2, 3, 1), (0, 1, 2, 8, 4, 3, 6, 7, 5)),
+    ("heavy (6,2,1)x(3,2,1,1,1,1) H=1", (1, 2, 2, 1, 1, 1, 1, 3, 1),
+     (1, 1, 2, 3, 2, 4, 5, 1, 6), (6, 2, 0, 3, 8, 4, 1, 7, 5)),
     # many blocks, 62,208 compositions against 547,251 tabloids: below
     # _counting._LOOP_MAX, so the tuple loop counts it, where a process
     # that has numpy loaded already would count it faster in tiles
@@ -138,6 +160,99 @@ def run_weights(index: int) -> dict:
             "compositions": compositions, "weights_sha256": _digest(weights)}
 
 
+def _heavy_keys() -> list[tuple]:
+    """The batch-heavy keys of seed 3, canonicalized, relabelled and
+    oriented as the engine keys its shape weights."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
+                           / "perfbench"))
+    import corpus
+    from haarmoments.queries import (MomentQuery, canonicalize, orient,
+                                     relabel)
+
+    keys = []
+    for line in corpus.generate("batch-heavy", 3).exact[1:]:
+        q = MomentQuery.from_json_obj(
+            {k: v for k, v in line.items() if k != "kind"})
+        m = orient(relabel(canonicalize(q)))
+        keys.append((m.I, m.J, m.Q))
+    return keys
+
+
+def run_warm(passes: int = 5) -> dict:
+    """Time warm tabloid-route shape weights on the batch-heavy keys; runs
+    in the child process."""
+    from haarmoments import _tabloids
+
+    keys = _heavy_keys()
+    weights = [_tabloids.shape_weights(*key) for key in keys]
+
+    def best(batch) -> float:
+        times = []
+        for _ in range(passes):
+            start = time.perf_counter()
+            for key in batch:
+                _tabloids.shape_weights(*key)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    out = []
+    for I, J, Q in keys:
+        mu_I, mu_J = _tabloids._shape(I), _tabloids._shape(J)
+        *counted, _ = _tabloids.dominating(mu_I, mu_J)
+        tabloids = sum(factorial(len(I)) // prod(map(factorial, nu))
+                       for nu in counted)
+        out.append({"I": I, "J": J, "Q": Q, "shapes": [mu_I, mu_J],
+                    "tabloids": tabloids, "seconds": best([(I, J, Q)])})
+    return {"seconds": best(keys), "keys": out,
+            "weights_sha256": _digest([sorted([list(f), c]
+                                              for f, c in w.items())
+                                       for w in weights])}
+
+
+def measure_warm(repeat: int) -> dict:
+    """The median over ``repeat`` fresh processes of run_warm's times."""
+    runs = [child("--warm", 0) for _ in range(repeat)]
+    if any(r["weights_sha256"] != runs[0]["weights_sha256"] for r in runs):
+        sys.exit("results differ between runs of warm_heavy")
+    keys = []
+    for index, key in enumerate(runs[0]["keys"]):
+        seconds = statistics.median(r["keys"][index]["seconds"]
+                                    for r in runs)
+        keys.append(dict(key, seconds=seconds,
+                         us_per_tabloid=1e6 * seconds / key["tabloids"]))
+    seconds = [r["seconds"] for r in runs]
+    tabloids = sum(key["tabloids"] for key in keys)
+    median = statistics.median(seconds)
+    print(f"warm     25 batch-heavy keys {tabloids:>11,} tabloids "
+          f"{median:9.4f} s")
+    return {"what": "tabloid-route shape weights, warm, best of 5 passes "
+                    "per process, median over processes",
+            "median_s": median, "seconds": seconds, "tabloids": tabloids,
+            "us_per_tabloid": 1e6 * median / tabloids,
+            "keys": keys, "weights_sha256": runs[0]["weights_sha256"]}
+
+
+def check(path: Path) -> int:
+    """1 if two entries give one case different digests, else 0."""
+    digests: dict = {}
+    for label, entry in json.loads(path.read_text())["runs"].items():
+        for kind, key in (("cases", "counts_sha256"),
+                          ("shape_weights", "weights_sha256")):
+            for case in entry.get(kind, []):
+                digests.setdefault((kind, case["case"]), {})[label] = \
+                    case[key]
+        if "warm_heavy" in entry:
+            digests.setdefault(("warm_heavy", "25 batch-heavy keys"), {})[
+                label] = entry["warm_heavy"]["weights_sha256"]
+    bad = 0
+    for (kind, case), by_label in digests.items():
+        if len(set(by_label.values())) > 1:
+            bad += 1
+            print(f"{kind} {case}: digests differ: {by_label}")
+    print(f"{path}: {len(digests)} cases, {bad} with differing digests")
+    return 1 if bad else 0
+
+
 def child(kind: str, index: int) -> dict:
     out = subprocess.run([sys.executable, __file__, kind, str(index)],
                          check=True, capture_output=True, text=True).stdout
@@ -174,8 +289,17 @@ def main() -> None:
     ap.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
                                          / "BENCH_counting.json"))
     ap.add_argument("--case", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--check", action="store_true",
+                    help="check that the entries of --out agree on every "
+                         "digest, and exit 1 if they do not")
     ap.add_argument("--weights", type=int, help=argparse.SUPPRESS)
+    ap.add_argument("--warm", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.check:
+        sys.exit(check(Path(args.out)))
+    if args.warm is not None:
+        print(json.dumps(run_warm()))
+        return
     if args.case is not None:
         print(json.dumps(run_case(args.case)))
         return
@@ -193,13 +317,16 @@ def main() -> None:
         "cases": measure("--case", CASES, args.repeat, "counts_sha256"),
         "shape_weights": measure("--weights", WEIGHT_CASES, args.repeat,
                                  "weights_sha256"),
+        "warm_heavy": measure_warm(args.repeat),
     }
     path = Path(args.out)
     runs = json.loads(path.read_text())["runs"] if path.exists() else {}
     runs[args.label] = entry
     doc = {"what": "cold weingarten.class_counts (cases) and cold engine "
                    "shape weights as moment_symbolic asks for them "
-                   "(shape_weights), one fresh process per run",
+                   "(shape_weights), one fresh process per run; warm "
+                   "tabloid-route shape weights on the 25 batch-heavy keys "
+                   "of seed 3 (warm_heavy)",
            "runs": runs}
     # one line per list of numbers
     text = re.sub(r"\[\s+([^][{}]*?)\s+\]",

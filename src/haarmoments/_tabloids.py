@@ -34,7 +34,21 @@ B_Q over the labels J[Q[x]].  Then
 where N_conj counts tabloids by (A, B) and N_plain by (A, B_Q).  Both are
 found by a dynamic program over the points, sorted by label pair, that
 keeps one state per partial pair of tables: tabloids that agree on the
-tables so far are counted together.
+tables so far are counted together.  A pair of tables is one integer, the A
+half in its low digits and the B half above.  The states are grouped by how
+far each row is filled, so a group looks up its open rows once and moves all
+its states into one target group per open row; the first move into a target
+is one dict comprehension.
+
+The sum above runs over pairs of tabloids with matching tables, and
+permuting rows of equal length in both keeps the match and the weight.  So
+the plain side counts only tabloids whose equal rows take their first points
+in order, one per orbit, and the sum is multiplied by the orbit size, the
+product of the factorials of nu's part multiplicities.  The join walks the
+smaller table dict and splits each code into its halves with one divmod;
+prod A! and prod B! are cached per half for the call, since a half recurs
+with many others.  For nu = (p) there is one tabloid, fixed by every pair,
+and R_(p) = |S_I| |S_J| needs no program.
 
 The work grows with the number of nu-tabloids over nu in F but the last,
 not with the stabilizers' orders.  ``cost`` estimates it from the block
@@ -59,7 +73,10 @@ from .partitions import Partition, dim_symmetric, schur_expansion
 # ratio was 0.5 to 2.5 times their ratio of tabloids to compositions (3.8 on
 # one key of 1,920 compositions), so they broke even at 0.4 to 1.9 tabloids
 # per composition.  The 25 batch-heavy keys have at most 0.12, and the
-# batch-symbolic keys at least 1.46.
+# batch-symbolic keys at least 1.46.  That was measured against the
+# per-point program that grouped states replaced; the present kernel's cost
+# per tabloid is in BENCH_counting.json (``warm_heavy``, ``us_per_tabloid``).
+# Tuning the weight to it belongs with the route choice, which is unchanged.
 TABLOID_WEIGHT = 2
 
 
@@ -138,49 +155,89 @@ def _shape(blocks: list[int]) -> Partition:
 
 def _fixed_tabloids(conj, plain, nu: Partition, a_blocks: int) -> int:
     """R_nu = sum_{A,B} N_conj[A,B] N_plain[A,B] prod A! prod B!."""
+    if len(nu) == 1:
+        # one tabloid, which every pair fixes: R = |S_I| |S_J|
+        return prod(factorial(m) for labels in zip(*conj)
+                    for m in Counter(labels).values())
     base = len(conj) + 1
-    by_conj = _table_counts(conj, nu, a_blocks, base)
-    by_plain = by_conj if plain == conj else _table_counts(
-        plain, nu, a_blocks, base)
+    by_conj = _table_counts(conj, nu, a_blocks, base, False)
+    if plain == conj:
+        by_plain, orbit = by_conj, 1
+    else:
+        # permuting rows of equal length in both tabloids of a matched pair
+        # keeps the match and its weight, so the plain side counts one
+        # tabloid per orbit, times the orbit's size
+        by_plain = _table_counts(plain, nu, a_blocks, base, True)
+        orbit = prod(map(factorial, Counter(nu).values()))
+    if len(by_plain) < len(by_conj):
+        by_conj, by_plain = by_plain, by_conj
+    # prod digit! per table half, cached: an A half recurs with many B
+    # halves and a B half with many A halves
+    split = base ** (a_blocks * len(nu))
+    halves: dict[int, int] = {}
+
+    def weight(table: int) -> int:
+        w, code = 1, table
+        while code:
+            code, digit = divmod(code, base)
+            if digit > 1:
+                w *= factorial(digit)
+        halves[table] = w
+        return w
+
     total = 0
+    cached = halves.get
+    get = by_plain.get
     for code, c in by_conj.items():
-        d = by_plain.get(code)
+        d = get(code)
         if d:
-            weight = 1
-            while code:
-                code, digit = divmod(code, base)
-                weight *= factorial(digit)
-            total += c * d * weight
-    return total
+            b, a = divmod(code, split)
+            total += (c * d * (cached(a) or weight(a))
+                      * (cached(b) or weight(b)))
+    return total * orbit
 
 
-def _table_counts(pairs, nu: Partition, a_blocks: int,
-                  base: int) -> dict[int, int]:
+def _table_counts(pairs, nu: Partition, a_blocks: int, base: int,
+                  ordered: bool) -> dict[int, int]:
     """The nu-tabloids of points labelled by ``pairs`` (i, j), counted by
     their tables A[i][r] and B[j][r].  A pair of tables is coded as one
-    integer in base ``base``: digit A[i][r] at place (1 + i)*len(nu) + r,
-    B[j][r] at place (1 + a_blocks + j)*len(nu) + r, and below them the
-    fill of each row r at place r, which the program reads to see which
-    rows still have room.  The returned codes keep only the table digits."""
+    integer in base ``base``: digit A[i][r] at place i*len(nu) + r and
+    B[j][r] at place (a_blocks + j)*len(nu) + r.  The states are grouped by
+    the fill of each row, {fill: (rows with room, {code: count})}, the fill
+    coded in the same base with row r at place r: a group reads once which
+    rows have room, and moves all its codes into one target group per row.
+    If ``ordered``, rows of equal length take their first points in order,
+    so one tabloid of each orbit under permutations of those rows counts."""
     rows = len(nu)
-    low = base ** rows
-    open_rows: dict[int, list[int]] = {}   # fill code -> rows with room
-    states = {0: 1}
+    places = [base ** r for r in range(rows)]
+    # row r waits for row r - 1 of the same length to start
+    waits = [ordered and r > 0 and nu[r - 1] == nu[r] for r in range(rows)]
+    groups = {0: ([r for r in range(rows) if not waits[r]], {0: 1})}
     for i, j in pairs:
-        steps = [base ** r + low * (base ** (i * rows + r)
-                                    + base ** ((a_blocks + j) * rows + r))
+        steps = [places[r] * (base ** (i * rows)
+                              + base ** ((a_blocks + j) * rows))
                  for r in range(rows)]
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for code, count in states.items():
-            fill = code % low
-            room = open_rows.get(fill)
-            if room is None:
-                room = open_rows[fill] = [
-                    r for r in range(rows)
-                    if fill // base ** r % base < nu[r]]
+        nxt: dict[int, tuple[list[int], dict[int, int]]] = {}
+        for fill, (room, states) in groups.items():
             for r in room:
-                key = code + steps[r]
-                nxt[key] = get(key, 0) + count
-        states = nxt
-    return {code // low: count for code, count in states.items()}
+                step = steps[r]
+                to = fill + places[r]
+                target = nxt.get(to)
+                if target is None:
+                    filled = to // places[r] % base
+                    opens = room
+                    if filled == nu[r]:
+                        opens = [x for x in room if x != r]
+                    if filled == 1 and r + 1 < rows and waits[r + 1]:
+                        opens = opens + [r + 1]
+                    nxt[to] = (opens, {code + step: count
+                                       for code, count in states.items()})
+                else:
+                    merged = target[1]
+                    get = merged.get
+                    for code, count in states.items():
+                        key = code + step
+                        merged[key] = get(key, 0) + count
+        groups = nxt
+    [(_, states)] = groups.values()
+    return states

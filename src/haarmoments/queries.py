@@ -70,8 +70,9 @@ class MomentQuery(Record):
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MomentQuery":
         """Read a decoded JSON query object.  Absent lists are empty; an
-        absent n is the largest index used (1 if there is none).  Raises
-        ValueError on anything that is not such an object."""
+        absent n is the largest index used (1 if there is none), and a
+        given n must be at least 1.  Raises ValueError on anything that is
+        not such an object."""
         if not isinstance(obj, dict):
             raise ValueError("query must be a JSON object")
         lists = []
@@ -84,6 +85,8 @@ class MomentQuery(Record):
             n = max((max(seq) for seq in lists if seq), default=1)
         elif is_int(obj["n"]):
             n = obj["n"]
+            if n < 1:
+                raise ValueError("n must be at least 1")
         else:
             raise ValueError("n must be an integer")
         return cls(n, *lists)

@@ -250,10 +250,12 @@ def moment_symbolic(m: CanonicalMoment) -> RationalFunction:
 
 
 def moment_at(m: CanonicalMoment, n: int | None = None) -> Fraction:
-    if m.zero:
-        return Fraction(0)
     if n is None:
         n = m.n
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    if m.zero:
+        return Fraction(0)
     if m.p == 0:
         return Fraction(1)
     m = orient(relabel(m))

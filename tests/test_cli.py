@@ -152,6 +152,9 @@ def test_batch_writes_one_line_per_answer(tmp_path, monkeypatch):
         def write(self, text):
             writes.append(text)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr("sys.stdout", Recorder())
     assert main(["moment", "--batch", str(path)]) == 1
     assert len(writes) == 3 and all(w.count("\n") == 1 and w.endswith("\n")
@@ -215,6 +218,25 @@ def test_batch_mode_reports_bad_lines(tmp_path, capsys):
     assert "method must be one of" in docs[-2]["error"]
     assert docs[-6]["error"] == docs[-4]["error"] == \
         "symbolic must be true or false"
+
+
+def test_batch_lines_with_n_below_one_are_refused(tmp_path, capsys):
+    # as `moment --n 0` is: no answer from the normalization closed form or
+    # the engine's p = 0 shortcut, and no range message for the factors
+    lines = ['{"n": 0}',
+             '{"n": -3, "I": [], "J": [], "K": [], "L": []}',
+             '{"n": -3, "I": [1], "J": [1], "K": [1], "L": [1]}']
+    path = tmp_path / "queries.jsonl"
+    for method in ("auto", "group", "invariant"):
+        path.write_text("".join(line + "\n" for line in lines))
+        code, out, _ = run_cli(capsys, "moment", "--batch", str(path),
+                               "--method", method)
+        assert code == 1
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert docs == [{"error": "n must be at least 1", "input": line}
+                        for line in lines]
+    code, _, err = run_cli(capsys, "moment", "--n", "0")
+    assert code == 2 and err == "error: --n must be at least 1\n"
 
 
 def test_batch_mode_reads_stdin(capsys, monkeypatch):
@@ -522,3 +544,33 @@ def test_parser_suite_literals_match_suites():
     assert parser.parse_args(["verify"]).seed == suites.DEFAULT_SEED
     for name in suites.SUITES:
         assert parser.parse_args(["verify", "--suite", name]).suite == name
+
+
+def test_reader_closing_the_pipe_early_ends_quietly(tmp_path):
+    # 20,000 answers fill the pipe, so the CLI is still writing when the
+    # reader closes it after one line (as ``| head -1`` does)
+    line = json.dumps({"n": 3, "I": [1, 2], "J": [1, 2], "K": [1, 2],
+                       "L": [1, 2]})
+    batch = tmp_path / "many.jsonl"
+    batch.write_text((line + "\n") * 20000)
+    env = dict(os.environ)
+    src = str(Path(haarmoments.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "haarmoments.cli", "moment", "--batch",
+         str(batch)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env, text=True)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stderr.close()
+    assert json.loads(first)["value"]["rational"] == "1/8"
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+    assert err == ""
+    assert code == 1

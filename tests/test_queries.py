@@ -53,7 +53,13 @@ def test_from_json_obj_defaults_and_refusals():
             ({"n": [2]}, not_int), ({"n": float("inf")}, not_int),
             ({"n": 2.9}, not_int), ({"n": 2.0}, not_int),
             ({"n": True}, not_int), ({"n": "3"}, not_int),
-            ({"n": None}, not_int)):
+            ({"n": None}, not_int),
+            # a given n below 1, also without factors
+            ({"n": 0}, "n must be at least 1"),
+            ({"n": -3, "I": [], "J": [], "K": [], "L": []},
+             "n must be at least 1"),
+            ({"n": -3, "I": [1], "J": [1], "K": [1], "L": [1]},
+             "n must be at least 1")):
         with pytest.raises(ValueError) as refused:
             MomentQuery.from_json_obj(bad)
         assert str(refused.value) == message, bad

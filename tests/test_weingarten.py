@@ -353,9 +353,15 @@ def test_fixed_n_matches_gram_matrix_inverse_property(q):
 
 def test_moment_at_refuses_dimension_below_one():
     m = canonicalize(MomentQuery.make(2, (1, 2), (1, 1), (2, 1), (1, 1)))
-    for n in (0, -1):
-        with pytest.raises(ValueError, match="dimension must be at least 1"):
-            weingarten.moment_at(m, n)
+    # no factors (p = 0), and a zero query: refused before either shortcut
+    empty = canonicalize(MomentQuery.make(1, (), (), (), ()))
+    zero = canonicalize(MomentQuery.make(2, (1,), (1,), (2,), (1,)))
+    assert empty.p == 0 and zero.zero
+    for n in (0, -1, -3):
+        for moment in (m, empty, zero):
+            with pytest.raises(ValueError,
+                               match="dimension must be at least 1"):
+                weingarten.moment_at(moment, n)
         with pytest.raises(ValueError, match="dimension must be at least 1"):
             weingarten.xi_at((2, 1), n)
 
