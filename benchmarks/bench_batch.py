@@ -22,11 +22,13 @@ processes alike, so the script can time another commit's ``src``.  The
 results go to a JSON file under a label, one entry per label, so that runs
 of two commits can share one file.  Digests of every stage's results and of
 each corpus's output bytes and exit code are stored too, so the entries can
-be checked for equal results.
+be checked for equal results.  ``--check`` does that check: it exits 1 if
+two entries of the file give one stage or one corpus different digests.
 
 Usage (from the repository root):
   PYTHONPATH=src python3 benchmarks/bench_batch.py --label NAME
       [--repeat N] [--out BENCH_batch.json]
+  python3 benchmarks/bench_batch.py --check [--out BENCH_batch.json]
 """
 import argparse
 import hashlib
@@ -131,13 +133,36 @@ def processes(repeat: int) -> list:
     return out
 
 
+def check(path: Path) -> int:
+    """1 if two entries give one stage or one corpus different digests,
+    else 0."""
+    digests: dict = {}
+    for label, entry in json.loads(path.read_text())["runs"].items():
+        for kind, name, key in (("stages", "stage", "results_sha256"),
+                                ("processes", "corpus", "output_sha256")):
+            for case in entry.get(kind, []):
+                digests.setdefault((kind, case[name]), {})[label] = case[key]
+    bad = 0
+    for (kind, name), by_label in digests.items():
+        if len(set(by_label.values())) > 1:
+            bad += 1
+            print(f"{kind} {name}: digests differ: {by_label}")
+    print(f"{path}: {len(digests)} cases, {bad} with differing digests")
+    return 1 if bad else 0
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", default="current",
                     help="name of this run's entry in the output file")
     ap.add_argument("--repeat", type=int, default=11)
     ap.add_argument("--out", default=str(ROOT / "BENCH_batch.json"))
+    ap.add_argument("--check", action="store_true",
+                    help="check that the entries of --out agree on every "
+                         "digest, and exit 1 if they do not")
     args = ap.parse_args()
+    if args.check:
+        sys.exit(check(Path(args.out)))
 
     entry = {
         "host": {"machine": platform.machine(), "cpus": os.cpu_count(),

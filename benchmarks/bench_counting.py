@@ -61,9 +61,8 @@ WEIGHT_CASES = CASES + [
     ("worst case 1^4 2^4 3^4", (1,) * 4 + (2,) * 4 + (3,) * 4,
      (1, 2, 3, 4) * 3, tuple(range(12))),
     ("one row, 9 columns", (1,) * 9, tuple(range(1, 10)), tuple(range(9))),
-    # the six balanced batch-heavy keys (seed 3), oriented as the engine
-    # keys them: they took the tile path until tabloids were weighed
-    # against the tuple loop
+    # the six balanced batch-heavy keys (seed 3): they took the tile path
+    # until tabloids were weighed against the tuple loop
     ("heavy (3,3,3)x(3,3,3) H=1", (1, 2, 1, 2, 3, 2, 3, 1, 3),
      (1, 1, 2, 3, 2, 1, 3, 2, 3), (2, 4, 3, 0, 1, 6, 7, 5, 8)),
     ("heavy (4,3,2)x(3,3,2,1) H=1", (1, 2, 1, 2, 2, 2, 3, 3, 3),
@@ -161,19 +160,18 @@ def run_weights(index: int) -> dict:
 
 
 def _heavy_keys() -> list[tuple]:
-    """The batch-heavy keys of seed 3, canonicalized, relabelled and
-    oriented as the engine keys its shape weights."""
+    """The batch-heavy keys of seed 3, canonicalized and in the normal
+    form the engine keys its shape weights on."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent
                            / "perfbench"))
     import corpus
-    from haarmoments.queries import (MomentQuery, canonicalize, orient,
-                                     relabel)
+    from haarmoments.queries import MomentQuery, canonicalize, normal_form
 
     keys = []
     for line in corpus.generate("batch-heavy", 3).exact[1:]:
         q = MomentQuery.from_json_obj(
             {k: v for k, v in line.items() if k != "kind"})
-        m = orient(relabel(canonicalize(q)))
+        m = normal_form(canonicalize(q))
         keys.append((m.I, m.J, m.Q))
     return keys
 

@@ -52,19 +52,21 @@ and R_(p) = |S_I| |S_J| needs no program.
 
 The work grows with the number of nu-tabloids over nu in F but the last,
 not with the stabilizers' orders.  ``cost`` estimates it from the block
-sizes alone, and ``weingarten._shape_weights`` takes this route when it is
-the cheaper one.
+shapes alone, TABLOID_WEIGHT compositions per tabloid, summed only until it
+passes PAIR_CAP, and ``weingarten._shape_weights`` takes this route when it
+is the cheaper one.  It hands over the moment's normal form, whose sorted
+pairs the program reads as they are.
 Everything here is exact integer arithmetic in pure Python.
 """
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, pairwise
 from math import factorial, prod
 from typing import Iterator, Sequence
 
 from .partitions import Partition, dim_symmetric, schur_expansion
+from .queries import _counts, _order
 
 # One nu-tabloid of the estimate, in double-coset compositions.  Timed warm
 # in one process on a 2-vCPU host, against the tuple loop that enumerates
@@ -75,9 +77,13 @@ from .partitions import Partition, dim_symmetric, schur_expansion
 # per composition.  The 25 batch-heavy keys have at most 0.12, and the
 # batch-symbolic keys at least 1.46.  That was measured against the
 # per-point program that grouped states replaced; the present kernel's cost
-# per tabloid is in BENCH_counting.json (``warm_heavy``, ``us_per_tabloid``).
-# Tuning the weight to it belongs with the route choice, which is unchanged.
+# per tabloid is in BENCH_counting.json (``warm_heavy``, ``us_per_tabloid``),
+# and the weight is kept until the estimate counts the program's states.
 TABLOID_WEIGHT = 2
+
+# The cap on the cheaper route's work, in compositions, above which
+# ``weingarten`` refuses a query; ``cost`` sums only until it passes it.
+PAIR_CAP = 10**8
 
 
 def dominating(a: Partition, b: Partition) -> Iterator[Partition]:
@@ -104,61 +110,55 @@ def dominating(a: Partition, b: Partition) -> Iterator[Partition]:
 
 
 @lru_cache(maxsize=4096)
-def cost(mu_a: Partition, mu_b: Partition, budget: int) -> int:
+def cost(mu_a: Partition, mu_b: Partition) -> int:
     """TABLOID_WEIGHT times the number of nu-tabloids over the shapes nu
     that dominate both block shapes, but the last: the estimated work of
-    this route in compositions.  The sum stops once it passes ``budget``,
-    so a result above the budget is a lower bound."""
+    this route in compositions.  The sum stops once it passes PAIR_CAP, so
+    a result above the cap is a lower bound; it passes the smaller of the
+    cap and any composition count exactly when the full sum does, which is
+    all the route choice and the refusal need."""
     p = sum(mu_a)
     total = 0
     for nu, _ in pairwise(dominating(mu_a, mu_b)):
         total += TABLOID_WEIGHT * (
             factorial(p) // prod(map(factorial, nu)))
-        if total > budget:
+        if total > PAIR_CAP:
             break
     return total
 
 
-def shape_weights(I: Sequence, J: Sequence,
+def shape_weights(I: Sequence[int], J: Sequence[int],
                   Q: Sequence[int]) -> dict[Partition, int]:
-    """The nonzero shape weights {f: w_f} of <I,J | I,J_Q>: only shapes f
-    that dominate both block shapes can have one."""
-    rows, cols = _blocks(I), _blocks(J)
-    conj = sorted(zip(rows, cols))
-    plain = sorted(zip(rows, (cols[y] for y in Q)))
-    a_blocks = max(rows) + 1
-    *upper, last = dominating(_shape(rows), _shape(cols))
+    """The nonzero shape weights {f: w_f} of the normal form <I,J | I,J_Q>
+    (``queries.normal_form``): only shapes f that dominate both block
+    shapes can have one.  The form numbers rows and columns from 1 and
+    sorts both pair lists, and the program reads them as they are."""
+    conj = list(zip(I, J))
+    plain = [(i, J[b]) for i, b in zip(I, Q)]
+    *upper, last = dominating(_shape(I), _shape(J))
     out: dict[Partition, int] = {}
     for nu in upper:
         kostka = schur_expansion("h", nu)
-        out[nu] = _fixed_tabloids(conj, plain, nu, a_blocks) - sum(
+        out[nu] = _fixed_tabloids(conj, plain, nu, I[-1]) - sum(
             kostka.get(f, 0) * w for f, w in out.items())
     # the last shape from the regular character: sum_f d_f w_f = p! N_id
-    regular = 0
-    if plain == conj:
-        regular = factorial(len(I)) * prod(
-            map(factorial, Counter(plain).values()))
+    regular = factorial(len(I)) * _order(plain) if plain == conj else 0
     rest = sum(dim_symmetric(f) * w for f, w in out.items())
     out[last] = (regular - rest) // dim_symmetric(last)
     return {f: w for f, w in out.items() if w}
 
 
-def _blocks(values: Sequence) -> list[int]:
-    """Each position's block, the blocks numbered by first appearance."""
-    index: dict = {}
-    return [index.setdefault(v, len(index)) for v in values]
-
-
-def _shape(blocks: list[int]) -> Partition:
-    return tuple(sorted(Counter(blocks).values(), reverse=True))
+def _shape(values: Sequence[int]) -> Partition:
+    """The block sizes of ``values`` as a partition."""
+    return tuple(sorted(_counts(values).values(), reverse=True))
 
 
 def _fixed_tabloids(conj, plain, nu: Partition, a_blocks: int) -> int:
-    """R_nu = sum_{A,B} N_conj[A,B] N_plain[A,B] prod A! prod B!."""
+    """R_nu = sum_{A,B} N_conj[A,B] N_plain[A,B] prod A! prod B!, for pairs
+    (i, j) with rows i in 1..a_blocks and columns j from 1."""
     if len(nu) == 1:
         # one tabloid, which every pair fixes: R = |S_I| |S_J|
-        return prod(factorial(m) for labels in zip(*conj)
-                    for m in Counter(labels).values())
+        return prod(map(_order, zip(*conj)))
     base = len(conj) + 1
     by_conj = _table_counts(conj, nu, a_blocks, base, False)
     if plain == conj:
@@ -168,7 +168,7 @@ def _fixed_tabloids(conj, plain, nu: Partition, a_blocks: int) -> int:
         # keeps the match and its weight, so the plain side counts one
         # tabloid per orbit, times the orbit's size
         by_plain = _table_counts(plain, nu, a_blocks, base, True)
-        orbit = prod(map(factorial, Counter(nu).values()))
+        orbit = _order(nu)
     if len(by_plain) < len(by_conj):
         by_conj, by_plain = by_plain, by_conj
     # prod digit! per table half, cached: an A half recurs with many B
@@ -200,12 +200,13 @@ def _fixed_tabloids(conj, plain, nu: Partition, a_blocks: int) -> int:
 def _table_counts(pairs, nu: Partition, a_blocks: int, base: int,
                   ordered: bool) -> dict[int, int]:
     """The nu-tabloids of points labelled by ``pairs`` (i, j), counted by
-    their tables A[i][r] and B[j][r].  A pair of tables is coded as one
-    integer in base ``base``: digit A[i][r] at place i*len(nu) + r and
-    B[j][r] at place (a_blocks + j)*len(nu) + r.  The states are grouped by
-    the fill of each row, {fill: (rows with room, {code: count})}, the fill
-    coded in the same base with row r at place r: a group reads once which
-    rows have room, and moves all its codes into one target group per row.
+    their tables A[i][r] and B[j][r], i and j from 1.  A pair of tables is
+    coded as one integer in base ``base``: digit A[i][r] at place
+    (i - 1)*len(nu) + r and B[j][r] at place (a_blocks + j - 1)*len(nu) + r.
+    The states are grouped by the fill of each row, {fill: (rows with room,
+    {code: count})}, the fill coded in the same base with row r at place r:
+    a group reads once which rows have room, and moves all its codes into
+    one target group per row.
     If ``ordered``, rows of equal length take their first points in order,
     so one tabloid of each orbit under permutations of those rows counts."""
     rows = len(nu)
@@ -214,8 +215,8 @@ def _table_counts(pairs, nu: Partition, a_blocks: int, base: int,
     waits = [ordered and r > 0 and nu[r - 1] == nu[r] for r in range(rows)]
     groups = {0: ([r for r in range(rows) if not waits[r]], {0: 1})}
     for i, j in pairs:
-        steps = [places[r] * (base ** (i * rows)
-                              + base ** ((a_blocks + j) * rows))
+        steps = [places[r] * (base ** ((i - 1) * rows)
+                              + base ** ((a_blocks + j - 1) * rows))
                  for r in range(rows)]
         nxt: dict[int, tuple[list[int], dict[int, int]]] = {}
         for fill, (room, states) in groups.items():

@@ -26,9 +26,10 @@ import contextlib
 import json
 import os
 import sys
+from math import lgamma, log, log10
 
 from . import invariants, sphere, weingarten
-from .queries import MomentQuery, is_int
+from .queries import MomentQuery, canonicalize, is_int
 from .ratfun import RationalFunction
 
 
@@ -60,6 +61,38 @@ def _format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
+_TOO_LONG = "the value has more digits than Python's integer printing limit"
+
+
+def _refuse_unprintable(q: MomentQuery, symbolic: bool) -> None:
+    """Refuse, before any work, a fixed-n query whose value is certain to
+    have more digits than Python prints (``sys.get_int_max_str_digits``).
+
+    A nonzero moment of degree p has |value| <= p!/n^p: by Hölder's
+    inequality it is at most E|U_11|^2p = p!/(n(n+1)...(n+p-1)).  So its
+    reduced denominator is at least n^p/p!.  It is nonzero once
+    n > (p!)^2 (4p)^(p+1): then the first term of its Weingarten series in
+    1/n outweighs the rest (Collins; Matsumoto and Novak).  Zero moments
+    print, and so does any value for which either bound is in doubt."""
+    limit, p, bits = sys.get_int_max_str_digits(), len(q.I), q.n.bit_length()
+    if symbolic or p * bits <= 3 * limit:  # p log10 n < 0.302 p bits
+        return
+    log_n = (bits - 1) * log10(2)  # log10 n, from below
+    log_fact = lgamma(p + 1) / log(10)
+    if (limit and p * log_n > limit + 1 + log_fact
+            and log_n > 1 + 2 * log_fact + (p + 1) * log10(4 * p)
+            and not canonicalize(q).zero):
+        raise ValueError(_TOO_LONG)
+
+
+def _digits(value) -> str:
+    """str(value), or ValueError(_TOO_LONG) if it is too long to print."""
+    try:
+        return str(value)
+    except ValueError:
+        raise ValueError(_TOO_LONG) from None
+
+
 def _result_line(value, query=None, method=None) -> str:
     """The JSON result document of one computed exact value, as one line:
     the bytes ``json.dumps`` gives the document, written directly.  Every
@@ -72,11 +105,12 @@ def _result_line(value, query=None, method=None) -> str:
                    f'"L": [{_ints(query.L)}]}}')
     if method is not None:
         out.append(f'"method": "{method}"')
+    text = _digits(value)
     if isinstance(value, RationalFunction):
-        out.append(f'"value": {{"kind": "ratfun", "ratfun": "{value}"}}, '
+        out.append(f'"value": {{"kind": "ratfun", "ratfun": "{text}"}}, '
                    f'"validity_min_n": {value.validity_min_n}')
     else:
-        out.append(f'"value": {{"kind": "rational", "rational": "{value}", '
+        out.append(f'"value": {{"kind": "rational", "rational": "{text}", '
                    f'"float": {float(value)!r}}}')
     return "{" + ", ".join(out) + "}"
 
@@ -89,12 +123,10 @@ def _emit(value, output: str, query=None, method=None) -> None:
     """Print one computed exact value in the requested representation."""
     if output == "json":
         print(_result_line(value, query, method))
-    elif isinstance(value, RationalFunction):
-        print(str(value))
-    elif output == "float":
+    elif output == "float" and not isinstance(value, RationalFunction):
         print(_format_float(float(value)))
     else:
-        print(str(value))
+        print(_digits(value))
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +144,12 @@ def _resolve_n(n_arg, *lists) -> int:
 def _cmd_moment(args) -> int:
     if args.batch:
         return _run_batch(args)
-    I = _parse_ints(args.I, "--I")
-    J = _parse_ints(args.J, "--J")
-    K = _parse_ints(args.K, "--K")
-    L = _parse_ints(args.L, "--L")
+    I, J, K, L = (_parse_ints(getattr(args, name), f"--{name}")
+                  for name in "IJKL")
     n = _resolve_n(args.n, I, J, K, L)
     q = MomentQuery.make(n, I, J, K, L)
     symbolic = args.symbolic or args.output == "symbolic"
+    _refuse_unprintable(q, symbolic)
     value, label = invariants.moment(q, args.method, symbolic)
     _emit(value, args.output, query=q, method=label)
     return 0
@@ -154,6 +185,7 @@ def _run_batch(args) -> int:
                     raise ValueError("symbolic must be true or false")
                 symbolic = symbolic or args.symbolic
                 method = obj.get("method", args.method)
+                _refuse_unprintable(q, symbolic)
                 value, label = invariants.moment(q, method, symbolic)
                 write(_result_line(value, q, label) + "\n")
             except (ValueError, ZeroDivisionError, KeyError,

@@ -27,7 +27,8 @@ from math import factorial
 from typing import Sequence
 
 from . import weingarten
-from .queries import CanonicalMoment, MomentQuery, canonicalize, relabel
+from .queries import (CanonicalMoment, MomentQuery, _counts, canonicalize,
+                      normal_form)
 from .ratfun import Poly, RationalFunction
 
 XWeights = tuple[int, int, int, int, int, int, int, int]
@@ -457,23 +458,15 @@ def _pairs(m: CanonicalMoment) -> tuple[list, list]:
     return list(zip(m.I, m.J)), [(m.I[a], m.J[m.Q[a]]) for a in range(m.p)]
 
 
-def _counts(pairs) -> dict:
-    """How often each pair occurs; absent pairs occur 0 times."""
-    out: dict = {}
-    for pair in pairs:
-        out[pair] = out.get(pair, 0) + 1
-    return out
-
-
 @lru_cache(maxsize=None)
 def _catalog_signatures() -> dict[tuple, tuple[str, RationalFunction]]:
     """The sorted conjugated and plain pairs of every presentation of each
     degree-3 catalog moment, to its key and closed form: transposed or not,
     the two factor lists swapped or not, and the rows 1..r and columns
-    1..c renamed in every way, as ``relabel`` may name them."""
+    1..c renamed in every way, as ``normal_form`` may name them."""
     sigs: dict[tuple, tuple[str, RationalFunction]] = {}
     for key in DEGREE3_KEYS:
-        c, q = _pairs(relabel(canonicalize(degree3_query(key))))
+        c, q = _pairs(normal_form(canonicalize(degree3_query(key))))
         tc, tq = ([(j, i) for i, j in pairs] for pairs in (c, q))
         for conj, plain in ((c, q), (q, c), (tc, tq), (tq, tc)):
             for rn, cn in product(permutations(sorted({i for i, _ in conj})),
@@ -501,8 +494,7 @@ def match_closed_form(m: CanonicalMoment):
         hit = _match_exchange(conj, plain, rows, cols)
     if hit or m.p != 3:
         return hit
-    return _catalog_signatures().get(
-        tuple(tuple(sorted(pairs)) for pairs in _pairs(relabel(m))))
+    return _catalog_signatures().get(tuple(map(tuple, _pairs(normal_form(m)))))
 
 
 # ---------------------------------------------------------------------------

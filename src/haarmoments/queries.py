@@ -6,7 +6,10 @@ elements picked out by K and L.  The average is zero unless K is a
 permutation of I and L is a permutation of J; otherwise the monomial can be
 rewritten so the plain rows equal I exactly, leaving a single permutation Q
 that says how the plain columns are matched against J.  That (I, J, Q) triple
-is what the group engine consumes.
+is what the closed-form matcher reads.  The group engine reads the moment's
+``normal_form``: its conjugated and plain pairs, renamed and sorted, so that
+queries that differ only in naming, alignment or (mostly) orientation share
+one form and one cache key.
 
 Every ``moment --batch`` line passes through here once, so each step takes
 one pass: ``MomentQuery.from_json_obj`` checks each list's entries once,
@@ -19,11 +22,12 @@ classes (``_record``), so importing this module does not import
 from __future__ import annotations
 
 import json
+from math import factorial, prod
+from operator import itemgetter
 from typing import Sequence
 
 from ._record import Record, _set
 from .partitions import Perm, inverse
-from .stabilizer import stabilizer
 
 Indices = tuple[int, ...]
 
@@ -150,38 +154,52 @@ def _first_fit(source: Sequence[int], target: Sequence[int]) -> Perm:
     return tuple([next(fronts[v]) for v in target])
 
 
-def relabel(m: CanonicalMoment) -> CanonicalMoment:
-    """Rename row and column values by first appearance (1, 2, ...).
+def normal_form(m: CanonicalMoment) -> CanonicalMoment:
+    """The moment's two pair tables, conjugated pairs (I[a], J[a]) and plain
+    pairs (I[a], J[Q[a]]), as one aligned form.
 
-    The value of the moment depends only on the coincidence pattern, so this
-    maps equivalent queries to one representative (and one cache key).
+    The moment depends only on which factors share a row or a column, so
+    the form renames them: transposed first when |S_J| > |S_I|, rows
+    numbered 1.. by first appearance, columns numbered 1.. by first
+    appearance once the pairs are stably in row order, and both pair lists
+    sorted.  Then I holds the sorted rows, J the conjugated columns and Q
+    the first fit of the sorted plain columns into J.  The form is
+    idempotent, does not depend on the alignment ``canonicalize`` picked or
+    on how rows and columns are named, and is the same for a query and its
+    transpose when their stabilizers differ in size.  The engine keys its
+    shape weights (``weingarten._shape_weights``) on it and prices both
+    routes from it; the tabloid route reads its pairs as they are.
     """
-    if m.zero:
+    if m.zero or not m.p:
         return m
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    newI = tuple(rows.setdefault(v, len(rows) + 1) for v in m.I)
-    newJ = tuple(cols.setdefault(v, len(cols) + 1) for v in m.J)
-    return CanonicalMoment(m.n, m.p, newI, newJ, m.Q)
+    conj = list(zip(m.I, m.J))
+    plain = [(i, m.J[b]) for i, b in zip(m.I, m.Q)]
+    if _order(m.J) > _order(m.I):
+        conj, plain = [(j, i) for i, j in conj], [(j, i) for i, j in plain]
+    rows = {v: k for k, v in enumerate(dict.fromkeys(i for i, _ in conj), 1)}
+    conj = sorted([(rows[i], j) for i, j in conj], key=itemgetter(0))
+    cols = {v: k for k, v in enumerate(dict.fromkeys(j for _, j in conj), 1)}
+    conj = sorted([(i, cols[j]) for i, j in conj])
+    plain = sorted([(rows[i], cols[j]) for i, j in plain])
+    I, J = map(tuple, zip(*conj))
+    return CanonicalMoment(m.n, m.p, I, J, _first_fit(J, [j for _, j in plain]))
 
 
-def transpose(m: CanonicalMoment) -> CanonicalMoment:
-    """Swap row and column roles; the moment is invariant under this."""
-    if m.zero:
-        return m
-    return CanonicalMoment(m.n, m.p, m.J, m.I, inverse(m.Q))
+def _order(values: Sequence) -> int:
+    """|S_values|, the product of the factorials of the multiplicities."""
+    return prod(map(factorial, _counts(values).values()))
 
 
-def orient(m: CanonicalMoment) -> CanonicalMoment:
-    """Transpose when that makes the first stabilizer the larger one.  The
-    engine keys its shape-weight cache (``weingarten._shape_weights``) on
-    this form; which factor of the double coset it holds and which it
-    streams, it picks by size itself."""
-    if m.zero:
-        return m
-    if stabilizer(m.J).order > stabilizer(m.I).order:
-        return relabel(transpose(m))
-    return m
+def _counts(values) -> dict:
+    """How often each value occurs; absent values occur 0 times."""
+    out: dict = {}
+    for v in values:
+        out[v] = out.get(v, 0) + 1
+    return out
+
+
+# perfbench/child.py imports both names: orient(relabel(m)) is the engine's key.
+relabel = orient = normal_form
 
 
 def alignments(q: MomentQuery):
@@ -194,11 +212,7 @@ def alignments(q: MomentQuery):
     from itertools import permutations as allperms
 
     for R in allperms(range(p)):
-        if any(q.I[R[a]] != q.K[a] for a in range(p)):
-            continue
-        Rinv = inverse(R)
-        aligned_L = tuple(q.L[Rinv[a]] for a in range(p))
-        for Q in allperms(range(p)):
-            if any(q.J[Q[a]] != aligned_L[a] for a in range(p)):
-                continue
-            yield R, Q
+        if all(q.I[R[a]] == q.K[a] for a in range(p)):
+            aligned_L = [q.L[b] for b in inverse(R)]
+            yield from ((R, Q) for Q in allperms(range(p))
+                        if all(q.J[Q[a]] == aligned_L[a] for a in range(p)))

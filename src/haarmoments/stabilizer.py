@@ -26,11 +26,6 @@ class YoungSubgroup(Record):
     def order(self) -> int:
         return prod(map(factorial, map(len, self.blocks)))
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """The block sizes as a partition of the degree."""
-        return tuple(sorted(map(len, self.blocks), reverse=True))
-
     def cosets(self, labels: Sequence[Hashable]) -> CosetReps:
         """One element R from each right coset H∘R, where H is the subgroup
         that also fixes ``labels``; |H| == order // cosets(labels).order."""

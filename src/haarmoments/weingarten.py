@@ -49,15 +49,18 @@ pair, and both give the same integers:
   last, whose weight the regular character gives (``_tabloids``).  No
   character table is needed.
 
-``_shape_weights`` takes the route with the smaller estimated cost, in
-compositions: |S_I|·|S_J|/|H| for the first, and for the second
+``_shape_weights`` is keyed on the moment's normal form
+(``queries.normal_form``) and takes the route with the smaller estimated
+cost, in compositions, priced from the form's multiplicities alone:
+|S_I|·|S_J|/|H| for the first, and for the second
 ``_tabloids.TABLOID_WEIGHT`` times the number of tabloids it counts, which
-depends on the block shapes alone.  The weight was measured against the
-tuple loop, so an exact query imports numpy only when the compositions are
-both cheaper and more than 2^16.  A query whose cheaper route still costs
-more than PAIR_CAP is refused; Monte Carlo estimation is the intended tool
-there.  ``class_counts``, the public enumeration, keeps its own cap on the
-raw pair sum |S_I|·|S_J|.
+depends on the block shapes alone (``_tabloids.cost``, cached per shape
+pair).  The weight was measured against the tuple loop, so an exact query
+imports numpy only when the compositions are both cheaper and more than
+2^16.  A query whose cheaper route still costs more than PAIR_CAP is
+refused; Monte Carlo estimation is the intended tool there.
+``class_counts``, the public enumeration, keeps its own cap on the raw pair
+sum |S_I|·|S_J|.
 """
 from __future__ import annotations
 
@@ -67,6 +70,7 @@ from math import factorial, isqrt, lcm, perm, prod
 
 from . import _tabloids
 from ._counting import count_compositions
+from ._tabloids import PAIR_CAP
 from .partitions import (
     Partition,
     _hook_product,
@@ -75,11 +79,10 @@ from .partitions import (
     dim_symmetric,
     schur_expansion,
 )
-from .queries import CanonicalMoment, MomentQuery, canonicalize, orient, relabel
+from .queries import (CanonicalMoment, MomentQuery, _order, canonicalize,
+                      normal_form)
 from .ratfun import Poly, RationalFunction, _divide_linear, expand
 from .stabilizer import stabilizer
-
-PAIR_CAP = 10**8
 
 
 def backend_name() -> str:
@@ -209,23 +212,17 @@ def _enumerate(GI, GJ, reps, Q) -> dict[Partition, int]:
     return {ct: c * weight for ct, c in counts.items()}
 
 
-def _costs(GI, GJ, reps) -> tuple[int, int]:
-    """The work of the two routes, in compositions: the double coset's size
-    |S_I|·|S_J|/|H|, and the tabloid route's estimate, summed only until it
-    passes the smaller of that size and PAIR_CAP, which is all the choice
-    needs.  Both depend on block sizes and |H| alone."""
-    compositions = reps.order * GJ.order
-    return compositions, _tabloids.cost(GI.shape, GJ.shape,
-                                        min(compositions, PAIR_CAP))
-
-
 @lru_cache(maxsize=4096)
 def _shape_weights(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
-    """The nonzero shape weights {f: w_f} of <I,J | I,J_Q>, keyed on its
-    oriented form, by the cheaper route; refused when both cost more than
-    PAIR_CAP.  The dict is the cached one: read it, do not change it."""
-    GI, GJ, reps = _double_coset(I, J, Q)
-    compositions, tabloids = _costs(GI, GJ, reps)
+    """The nonzero shape weights {f: w_f} of the normal form <I,J | I,J_Q>
+    (``queries.normal_form``), by the cheaper route; refused when both cost
+    more than PAIR_CAP.  The double coset has |S_I|·|S_J|/|H| elements, H
+    the stabilizer of the plain pairs, and the tabloid estimate depends on
+    the block shapes alone.  The dict is the cached one: read it, do not
+    change it."""
+    plain = zip(I, [J[b] for b in Q])
+    compositions = _order(I) * _order(J) // _order(plain)
+    tabloids = _tabloids.cost(_tabloids._shape(I), _tabloids._shape(J))
     if min(compositions, tabloids) > PAIR_CAP:
         raise ValueError(
             f"shape weights cost {min(compositions, tabloids)} compositions "
@@ -234,7 +231,7 @@ def _shape_weights(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
         )
     if tabloids < compositions:
         return _tabloids.shape_weights(I, J, Q)
-    return _weights(_enumerate(GI, GJ, reps, Q))
+    return _weights(_enumerate(*_double_coset(I, J, Q), Q))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,7 @@ def moment_symbolic(m: CanonicalMoment) -> RationalFunction:
         return RationalFunction.zero()
     if m.p == 0:
         return RationalFunction.one()
-    m = orient(relabel(m))
+    m = normal_form(m)
     return _fold_symbolic(_shape_weights(m.I, m.J, m.Q), m.p)
 
 
@@ -258,12 +255,12 @@ def moment_at(m: CanonicalMoment, n: int | None = None) -> Fraction:
         return Fraction(0)
     if m.p == 0:
         return Fraction(1)
-    m = orient(relabel(m))
+    m = normal_form(m)
     return _fold_at(_shape_weights(m.I, m.J, m.Q), n)
 
 
 def evaluate(q: MomentQuery, symbolic: bool = False):
-    """Full pipeline: canonicalize, relabel, orient, evaluate.
+    """Full pipeline: canonicalize, then evaluate the normal form.
 
     Returns a Fraction (fixed n) or a RationalFunction (symbolic, valid for
     n >= p).

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import haarmoments
+from haarmoments import invariants
 from haarmoments.cli import _result_line, main
 from haarmoments.queries import MomentQuery
 from haarmoments.ratfun import Poly, RationalFunction
@@ -237,6 +239,70 @@ def test_batch_lines_with_n_below_one_are_refused(tmp_path, capsys):
                         for line in lines]
     code, _, err = run_cli(capsys, "moment", "--n", "0")
     assert code == 2 and err == "error: --n must be at least 1\n"
+
+
+@pytest.fixture
+def default_int_digits():
+    """Python's default limit on the digits of a printed integer."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_values_too_long_to_print_are_refused_before_work(
+        tmp_path, capsys, monkeypatch, default_int_digits):
+    too_long = "the value has more digits than Python's integer printing limit"
+    evaluated = []
+    moment = invariants.moment
+
+    def recording(q, *args):
+        evaluated.append(q)
+        return moment(q, *args)
+
+    monkeypatch.setattr(invariants, "moment", recording)
+    n = 10 ** 4300 - 1  # 4,300 digits, the most that print
+    answered = [
+        # p = 1: 1/n prints
+        {"n": n, "I": [1], "J": [1], "K": [1], "L": [1]},
+        # a zero moment prints at any n
+        {"n": n, "I": [1, 2], "J": [1, 2], "K": [1, 2], "L": [2, 2]},
+        # symbolic values do not depend on n
+        {"n": n, "I": [1, 2], "J": [1, 2], "K": [1, 2], "L": [2, 1],
+         "symbolic": True}]
+    refused = [
+        # E(2) = -1/(n^3 - n) at the same n
+        {"n": n, "I": [1, 2], "J": [1, 2], "K": [1, 2], "L": [2, 1]},
+        # a p = 7 group line at n = 10^2000 - 1
+        {"n": 10 ** 2000 - 1, "I": [1, 1, 2, 2, 3, 3, 4],
+         "J": [1, 2, 3, 1, 2, 3, 4], "K": [1, 1, 2, 2, 3, 3, 4],
+         "L": [2, 1, 3, 4, 1, 2, 3]}]
+    path = tmp_path / "queries.jsonl"
+    for obj in answered + refused:
+        path.write_text(json.dumps(obj) + "\n")
+        evaluated.clear()
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "moment", "--batch", str(path))
+        seconds = time.perf_counter() - start
+        doc = json.loads(out)
+        if obj in answered:
+            assert code == 0 and "value" in doc, obj
+        else:
+            assert code == 1 and doc["error"] == too_long
+            assert not evaluated and seconds < 0.05, seconds
+    # the bound is not certain for a one-row moment of degree 40 at
+    # n = 10^150, so it is evaluated; its printing fails with the same text
+    ms = (1,) * 40
+    path.write_text(json.dumps(dict(invariants.fan_query(ms).to_json_obj(),
+                                    n=10 ** 150)) + "\n")
+    code, out, _ = run_cli(capsys, "moment", "--batch", str(path))
+    assert code == 1 and json.loads(out)["error"] == too_long and evaluated
+    # one query on the command line, and a class integral
+    code, _, err = run_cli(capsys, "moment", "--I", "1,2", "--J", "1,2",
+                           "--K", "1,2", "--L", "2,1", "--n", str(n))
+    assert code == 2 and err == f"error: {too_long}\n"
+    code, _, err = run_cli(capsys, "wg", "--class", "2,1", "--n", str(n))
+    assert code == 2 and err == f"error: {too_long}\n"
 
 
 def test_batch_mode_reads_stdin(capsys, monkeypatch):

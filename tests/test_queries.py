@@ -4,14 +4,16 @@ import json
 import pickle
 import time
 from collections import Counter
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haarmoments import weingarten
 from haarmoments.invariants import moment
 from haarmoments.queries import (CanonicalMoment, MomentQuery, alignments,
-                                 canonicalize, orient, relabel, transpose)
+                                 canonicalize, normal_form)
 from haarmoments.stabilizer import CosetReps, YoungSubgroup
 from haarmoments.weingarten import PAIR_CAP
 
@@ -114,36 +116,88 @@ def test_alignments_enumerates_all_valid_pairs():
             assert q.I[R[a]] == q.K[a]
 
 
-def test_relabel_first_appearance_order():
+def test_normal_form_numbers_rows_then_columns_by_first_appearance():
     m = canonicalize(MomentQuery.make(4, (3, 3, 2), (4, 1, 1),
                                       (3, 3, 2), (4, 1, 1)))
-    r = relabel(m)
+    r = normal_form(m)
     assert r.I == (1, 1, 2)
     assert r.J == (1, 2, 2)
+    # rows 2, 1 become 1, 2; the columns are numbered in that row order
+    # (5, 6 in row 1, then 7), and both pair lists come out sorted
+    m = canonicalize(MomentQuery.make(7, (2, 1, 2), (5, 7, 6),
+                                      (1, 2, 2), (6, 5, 7)))
+    assert normal_form(m) == CanonicalMoment(7, 3, (1, 1, 2), (1, 2, 3),
+                                             (0, 2, 1))
 
 
-def test_transpose_inverts_q():
-    q = MomentQuery.make(3, (1, 2, 3), (1, 2, 3), (1, 2, 3), (2, 3, 1))
-    m = canonicalize(q)
-    t = transpose(m)
-    assert t.I == m.J and t.J == m.I
-    # Q inverted: composing gives the identity
-    from haarmoments.partitions import compose, identity
-    assert compose(m.Q, t.Q) == identity(3)
+def test_normal_form_transposes_when_the_columns_repeat_more():
+    # |S_J| = 2 > |S_I| = 1: the rows of the form are the query's columns,
+    # and the plain pairs are transposed with the conjugated ones
+    q = MomentQuery.make(3, (1, 2, 3), (1, 1, 2), (1, 2, 3), (1, 2, 1))
+    want = CanonicalMoment(3, 3, (1, 1, 2), (1, 2, 3), (0, 2, 1))
+    assert normal_form(canonicalize(q)) == want
+    transposed = MomentQuery.make(3, q.J, q.I, q.L, q.K)
+    assert normal_form(canonicalize(transposed)) == want
 
 
-def test_orient_moves_larger_stabilizer_first():
-    # I has trivial stabilizer, J fully repeated: orientation should flip
+def test_normal_form_puts_the_larger_stabilizer_first():
+    # I has trivial stabilizer, J fully repeated: the form is transposed
     q = MomentQuery.make(3, (1, 2, 3), (1, 1, 1), (1, 2, 3), (1, 1, 1))
-    m = orient(relabel(canonicalize(q)))
-    from haarmoments.stabilizer import stabilizer
-    assert stabilizer(m.I).order >= stabilizer(m.J).order
-    assert m.I == (1, 1, 1)
+    m = normal_form(canonicalize(q))
+    assert m.I == (1, 1, 1) and m.J == (1, 2, 3)
 
 
 def test_zero_marker_is_stable_under_rewrites():
     m = canonicalize(MomentQuery.make(2, (1,), (1,), (2,), (1,)))
-    assert relabel(m).zero and transpose(m).zero
+    assert normal_form(m) is m and m.zero
+
+
+def _order(values) -> int:
+    return prod(factorial(c) for c in Counter(values).values())
+
+
+@st.composite
+def _presentations(draw):
+    """A nonzero query of degree p <= 6 at n = p, and the same moment with
+    its rows and its columns renamed injectively into 1..2p."""
+    p = draw(st.integers(1, 6))
+    labels = st.integers(1, draw(st.integers(1, p)))
+    I = draw(st.lists(labels, min_size=p, max_size=p))
+    J = draw(st.lists(labels, min_size=p, max_size=p))
+    K, L = draw(st.permutations(I)), draw(st.permutations(J))
+    rows = draw(st.permutations(range(1, 2 * p + 1)))
+    cols = draw(st.permutations(range(1, 2 * p + 1)))
+    q = MomentQuery.make(p, I, J, K, L)
+    renamed = MomentQuery.make(2 * p, [rows[i - 1] for i in I],
+                               [cols[j - 1] for j in J],
+                               [rows[k - 1] for k in K],
+                               [cols[l - 1] for l in L])
+    return q, renamed
+
+
+def _value(m: CanonicalMoment):
+    """The moment as a rational function of n, from the class counts of
+    its own aligned form: no normal form is taken."""
+    return weingarten._fold_symbolic(
+        weingarten._weights(weingarten.class_counts(m.I, m.J, m.Q)), m.p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_presentations())
+def test_normal_form_property(queries):
+    q, renamed = queries
+    m = canonicalize(q)
+    form = normal_form(m)
+    assert normal_form(form) == form
+    assert _value(form) == _value(m)
+    again = normal_form(canonicalize(renamed))
+    assert (again.I, again.J, again.Q) == (form.I, form.J, form.Q)
+    if _order(q.I) != _order(q.J):
+        transposed = MomentQuery.make(q.n, q.J, q.I, q.L, q.K)
+        assert normal_form(canonicalize(transposed)) == form
+    if m.p <= 4:
+        for _, Q in alignments(q):
+            assert normal_form(CanonicalMoment(q.n, m.p, q.I, q.J, Q)) == form
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,17 @@ from hypothesis import strategies as st
 
 from haarmoments import _tabloids
 from haarmoments.partitions import compose, cycle_type
+from haarmoments.queries import CanonicalMoment, normal_form
 
 
 def _pairs(I, J, Q):
-    """The kernel's inputs, as ``_tabloids.shape_weights`` builds them."""
-    rows, cols = _tabloids._blocks(I), _tabloids._blocks(J)
-    conj = sorted(zip(rows, cols))
-    plain = sorted(zip(rows, (cols[y] for y in Q)))
-    shapes = _tabloids._shape(rows), _tabloids._shape(cols)
-    return conj, plain, max(rows) + 1, shapes
+    """The kernel's inputs, as ``_tabloids.shape_weights`` reads them off
+    the normal form of <I,J | I,J_Q>."""
+    m = normal_form(CanonicalMoment(len(I), len(I), I, J, Q))
+    conj = list(zip(m.I, m.J))
+    plain = [(i, m.J[b]) for i, b in zip(m.I, m.Q)]
+    shapes = _tabloids._shape(m.I), _tabloids._shape(m.J)
+    return conj, plain, m.I[-1], shapes
 
 
 @lru_cache(maxsize=None)
@@ -124,8 +126,8 @@ def _reference_table_counts(pairs, nu, a_blocks, base) -> dict[int, int]:
     return {code // low: count for code, count in states.items()}
 
 
-# The 25 batch-heavy keys of the benchmark's seed 3, as the engine hands
-# them to the tabloid route: I, J and Q, one digit per point.
+# The 25 batch-heavy keys of the benchmark's seed 3: I, J and Q, one digit
+# per point.
 HEAVY_KEYS = [
     "1112121 1112123 3012654",
     "1111112 1223122 1302456",

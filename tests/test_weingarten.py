@@ -5,6 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from haarmoments.partitions import (character, class_size, compose,
                                     cycle_type, dim_symmetric,
                                     dim_unitary_at, hook_lengths, inverse,
                                     partitions_of, schur_expansion)
-from haarmoments.queries import MomentQuery, canonicalize, orient, relabel
+from haarmoments.queries import (CanonicalMoment, MomentQuery, canonicalize,
+                                 normal_form)
 from haarmoments.ratfun import Poly, RationalFunction
 from haarmoments.stabilizer import stabilizer
+from test_tabloids import HEAVY_KEYS
 
 
 def _rf(num_coeffs, den_coeffs, validity=0):
@@ -384,7 +387,7 @@ def test_fold_builds_terms_only_for_the_support():
     m = canonicalize(invariants.fan_query((1,) * 24))
     got = weingarten.moment_symbolic(m)
     assert got == invariants.fan((1,) * 24)
-    key = orient(relabel(m))
+    key = normal_form(m)
     assert list(weingarten._shape_weights(key.I, key.J, key.Q)) == [(24,)]
     assert weingarten._term.cache_info().currsize == 1
     # the fixed-n fold builds no term
@@ -507,16 +510,44 @@ def test_moment_at_accepts_canonical_directly():
 # ---------------------------------------------------------------------------
 # shape weights by Young's rule (the tabloid route)
 
+def _form(I, J, Q) -> CanonicalMoment:
+    return normal_form(CanonicalMoment(len(I), len(I), I, J, Q))
+
+
 def _tabloid_weights(I, J, Q):
-    w = _tabloids.shape_weights(I, J, Q)
+    """The tabloid route's weights of <I,J | I,J_Q>, read off its normal
+    form as the engine hands it over."""
+    form = _form(I, J, Q)
+    w = _tabloids.shape_weights(form.I, form.J, form.Q)
     assert set(w) <= set(partitions_of(len(I)))
     return w
 
 
+class _Took(Exception):
+    pass
+
+
+def _taking(route):
+    def take(*args):
+        raise _Took(route)
+    return take
+
+
 def _route(I, J, Q):
-    compositions, tabloids = weingarten._costs(
-        *weingarten._double_coset(I, J, Q))
-    return "tabloids" if tabloids < compositions else "compositions"
+    """The route ``_shape_weights`` takes for the normal form of
+    <I,J | I,J_Q>, stopped before it runs, or "refused"."""
+    form = _form(I, J, Q)
+    with mock.patch.object(_tabloids, "shape_weights", _taking("tabloids")), \
+            mock.patch.object(weingarten, "_enumerate",
+                              _taking("compositions")):
+        try:
+            weingarten._shape_weights.__wrapped__(form.I, form.J, form.Q)
+        except _Took as took:
+            return took.args[0]
+        except ValueError as refused:
+            assert "use Monte Carlo" in str(refused)
+            return "refused"
+    raise AssertionError("no route was taken")
 
 
 @st.composite
@@ -534,12 +565,34 @@ def _weight_triples(draw):
 def test_tabloid_route_matches_enumeration_property(triple):
     I, J, Q = triple
     coset = weingarten._double_coset(I, J, Q)
-    compositions, tabloids = weingarten._costs(*coset)
+    _, GJ, reps = coset
+    compositions = reps.order * GJ.order
+    tabloids = _tabloids.cost(_tabloids._shape(I), _tabloids._shape(J))
     assume(compositions <= 50000 and tabloids <= 500000)
     # the engine's enumeration, which the raw pair cap of class_counts
     # would refuse for one row against one column (8!^2 pairs)
     want = weingarten._weights(weingarten._enumerate(*coset, Q))
     assert _tabloid_weights(I, J, Q) == want
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_weight_triples())
+def test_shape_weights_of_the_normal_form_property(triple):
+    # each route, forced, gives on the normal form the weights that the
+    # class counts of the raw aligned form give
+    I, J, Q = triple
+    GI, GJ, reps = weingarten._double_coset(I, J, Q)
+    assume(GI.order * GJ.order <= weingarten.PAIR_CAP
+           and reps.order * GJ.order <= 50000
+           and _tabloids.cost(_tabloids._shape(I), _tabloids._shape(J))
+           <= 500000)
+    want = weingarten._weights(weingarten.class_counts(I, J, Q))
+    form = _form(I, J, Q)
+    for route, estimate in (("tabloids", 0),
+                            ("compositions", weingarten.PAIR_CAP + 1)):
+        with mock.patch.object(_tabloids, "cost", lambda a, b: estimate):
+            assert weingarten._shape_weights.__wrapped__(
+                form.I, form.J, form.Q) == want, route
 
 
 def test_tabloid_route_matches_enumeration_on_heavy_shapes():
@@ -634,8 +687,25 @@ def test_route_choice_by_cost(monkeypatch):
 
     weingarten._shape_weights.cache_clear()
     monkeypatch.setattr(weingarten, "_enumerate", refuse)
-    assert weingarten._shape_weights(I, J, Q) == want
+    form = _form(I, J, Q)
+    assert weingarten._shape_weights(form.I, form.J, form.Q) == want
     weingarten._shape_weights.cache_clear()
+
+
+def test_route_pins():
+    # many blocks and few compositions: (3,2,2,2,1,1) x (3,3,2,1,1,1) with
+    # |H| = 2 has 1,728 compositions against 4.7e6 tabloids
+    assert _route((1, 1, 1, 2, 2, 3, 3, 4, 4, 5, 6),
+                  (6, 1, 4, 3, 1, 2, 3, 1, 2, 2, 5),
+                  (8, 2, 10, 1, 9, 0, 4, 6, 3, 7, 5)) == "compositions"
+    # the 25 batch-heavy keys of the benchmark's seed 3
+    for key in HEAVY_KEYS:
+        I, J, Q = (tuple(map(int, word)) for word in key.split())
+        assert _route(I, J, Q) == "tabloids", key
+    # blocks of 5 against columns that repeat once per block: 120^4 * 24^5
+    # compositions and 8.2e10 tabloids, both past PAIR_CAP
+    assert _route(tuple(sorted((1, 2, 3, 4) * 5)), (1, 2, 3, 4, 5) * 4,
+                  tuple(range(20))) == "refused"
 
 
 def test_single_row_moments_above_the_raw_pair_cap():
@@ -669,14 +739,13 @@ def test_one_row_against_distinct_columns_takes_the_tabloid_route():
 
 
 def test_query_too_costly_for_both_routes_is_refused_at_once(monkeypatch):
-    # blocks of 5 against columns that repeat once per block: 1.2e10
-    # tabloids against 120^4 compositions
+    # blocks of 5 against columns that repeat once per block: 8.2e10
+    # tabloids against 120^4 * 24^5 compositions, |H| = 1
     I = tuple(sorted((1, 2, 3, 4) * 5))
     J = (1, 2, 3, 4, 5) * 4
     Q = tuple(range(20))
-    compositions, tabloids = weingarten._costs(
-        *weingarten._double_coset(I, J, Q))
-    assert min(compositions, tabloids) > weingarten.PAIR_CAP
+    assert stabilizer(I).order * stabilizer(J).order > weingarten.PAIR_CAP
+    assert _tabloids.cost((5, 5, 5, 5), (4, 4, 4, 4, 4)) > weingarten.PAIR_CAP
 
     def refuse(*args):
         raise AssertionError("a route ran")
