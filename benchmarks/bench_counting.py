@@ -160,18 +160,18 @@ def run_weights(index: int) -> dict:
 
 
 def _heavy_keys() -> list[tuple]:
-    """The batch-heavy keys of seed 3, canonicalized and in the normal
-    form the engine keys its shape weights on."""
+    """The batch-heavy keys of seed 3, canonicalized: the normal form the
+    engine keys its shape weights on."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent
                            / "perfbench"))
     import corpus
-    from haarmoments.queries import MomentQuery, canonicalize, normal_form
+    from haarmoments.queries import MomentQuery, canonicalize
 
     keys = []
     for line in corpus.generate("batch-heavy", 3).exact[1:]:
         q = MomentQuery.from_json_obj(
             {k: v for k, v in line.items() if k != "kind"})
-        m = normal_form(canonicalize(q))
+        m = canonicalize(q)
         keys.append((m.I, m.J, m.Q))
     return keys
 

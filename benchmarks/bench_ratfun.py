@@ -79,13 +79,13 @@ def fold_inputs(workload: str, p: int) -> list:
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
     from haarmoments import weingarten
-    from haarmoments.queries import MomentQuery, canonicalize, normal_form
+    from haarmoments.queries import MomentQuery, canonicalize
 
     out = []
     for obj in corpus.generate(workload, CORPUS_SEED).exact[1:]:
         q = MomentQuery.from_json_obj(
             {k: v for k, v in obj.items() if k in "nIJKL"})
-        m = normal_form(canonicalize(q))
+        m = canonicalize(q)
         if m.p == p:
             out.append((weingarten.class_counts(m.I, m.J, m.Q), q.n))
     return out

@@ -54,8 +54,10 @@ The work grows with the number of nu-tabloids over nu in F but the last,
 not with the stabilizers' orders.  ``cost`` estimates it from the block
 shapes alone, TABLOID_WEIGHT compositions per tabloid, summed only until it
 passes PAIR_CAP, and ``weingarten._shape_weights`` takes this route when it
-is the cheaper one.  It hands over the moment's normal form, whose sorted
-pairs the program reads as they are.
+is the cheaper one.  It hands over the moment's normal form, the
+``CanonicalMoment`` that ``queries.canonicalize`` or the record's
+constructor built, whose sorted pairs the program reads as they are: a
+hand-aligned triple that skipped the form would give wrong weights.
 Everything here is exact integer arithmetic in pure Python.
 """
 from __future__ import annotations
@@ -130,7 +132,7 @@ def cost(mu_a: Partition, mu_b: Partition) -> int:
 def shape_weights(I: Sequence[int], J: Sequence[int],
                   Q: Sequence[int]) -> dict[Partition, int]:
     """The nonzero shape weights {f: w_f} of the normal form <I,J | I,J_Q>
-    (``queries.normal_form``): only shapes f that dominate both block
+    (a ``queries.CanonicalMoment``): only shapes f that dominate both block
     shapes can have one.  The form numbers rows and columns from 1 and
     sorts both pair lists, and the program reads them as they are."""
     conj = list(zip(I, J))

@@ -27,8 +27,7 @@ from math import factorial
 from typing import Sequence
 
 from . import weingarten
-from .queries import (CanonicalMoment, MomentQuery, _counts, canonicalize,
-                      normal_form)
+from .queries import CanonicalMoment, MomentQuery, _counts, canonicalize
 from .ratfun import Poly, RationalFunction
 
 XWeights = tuple[int, int, int, int, int, int, int, int]
@@ -413,14 +412,13 @@ def verify_relation(name: str, *args, **kwargs) -> bool:
 
 # ---------------------------------------------------------------------------
 # closed-form recognition for canonical moments (sound, not complete: a miss
-# means "fall back to the group engine", never a wrong value)
+# means "fall back to the group engine", never a wrong value).  The matcher
+# reads the normal form, which is transposed when the columns repeat more than
+# the rows: a one-column fan reaches it as a one-row fan.
 
 def _match_direct(w: dict, rows, cols):
     if len(rows) == 1:
         ms = sorted((w.get((rows[0], c), 0) for c in cols), reverse=True)
-        return ("fan", fan(tuple(ms)))
-    if len(cols) == 1:
-        ms = sorted((w.get((r, cols[0]), 0) for r in rows), reverse=True)
         return ("fan", fan(tuple(ms)))
     if len(rows) == 2 and len(cols) == 2:
         r1, r2 = rows
@@ -436,39 +434,41 @@ def _match_direct(w: dict, rows, cols):
 
 
 def _match_exchange(wc: dict, wp: dict, rows, cols):
-    """x4(t, u) in any orientation: either order of the rows and of the
-    columns, transposed or not.  With its columns swapped, x5(t, u) is
-    x4(u, t), and with its conjugated and plain factors swapped, x4(t, u)
-    is x5(t-1, u+1); so x4 answers every x5 moment, however it is written."""
+    """x4(t, u) with either order of the rows and of the columns.  With its
+    columns swapped, x5(t, u) is x4(u, t), and with its conjugated and plain
+    factors swapped, x4(t, u) is x5(t-1, u+1); so x4 answers every x5
+    moment, however it is written.  The normal form fixes the orientation,
+    except when |S_I| = |S_J|, which for x4(t, u) means t = 1 or u = 0, and
+    then the transposed loop is x4(t, u) again."""
     if len(rows) != 2 or len(cols) != 2:
         return None
     c, d = wc.get, wp.get
     for (i, j), (a, b) in product(permutations(rows), permutations(cols)):
-        r, s, t, u = c((i, a), 0), c((i, b), 0), c((j, b), 0), c((j, a), 0)
-        rp, sp, tp, up = d((i, a), 0), d((i, b), 0), d((j, b), 0), d((j, a), 0)
-        # the transposed orientation reads the loop the other way round
-        for w in ((r, s, t, u, rp, sp, tp, up), (r, u, t, s, rp, up, tp, sp)):
-            if x_family(w) == "x4":
-                return ("x4", x_special("x4", w[2], w[3]))
+        w = (c((i, a), 0), c((i, b), 0), c((j, b), 0), c((j, a), 0),
+             d((i, a), 0), d((i, b), 0), d((j, b), 0), d((j, a), 0))
+        if x_family(w) == "x4":
+            return ("x4", x_special("x4", w[2], w[3]))
     return None
 
 
 def _pairs(m: CanonicalMoment) -> tuple[list, list]:
-    """The conjugated pairs (I[a], J[a]) and the plain pairs (I[a], J[Q[a]])."""
-    return list(zip(m.I, m.J)), [(m.I[a], m.J[m.Q[a]]) for a in range(m.p)]
+    """The conjugated pairs (I[a], J[a]) and the plain pairs (I[a], J[Q[a]]),
+    both sorted, as the normal form holds them."""
+    return list(zip(m.I, m.J)), list(zip(m.I, map(m.J.__getitem__, m.Q)))
 
 
 @lru_cache(maxsize=None)
 def _catalog_signatures() -> dict[tuple, tuple[str, RationalFunction]]:
-    """The sorted conjugated and plain pairs of every presentation of each
-    degree-3 catalog moment, to its key and closed form: transposed or not,
-    the two factor lists swapped or not, and the rows 1..r and columns
-    1..c renamed in every way, as ``normal_form`` may name them."""
+    """The sorted conjugated and plain pairs of every normal form of each
+    degree-3 catalog moment, to its key and closed form: the two factor
+    lists swapped or not, and the rows 1..r and columns 1..c renamed in
+    every way, as the form may name them.  The form fixes the orientation;
+    where the stabilizers tie, the transpose of a catalog moment is a
+    catalog moment with the same value."""
     sigs: dict[tuple, tuple[str, RationalFunction]] = {}
     for key in DEGREE3_KEYS:
-        c, q = _pairs(normal_form(canonicalize(degree3_query(key))))
-        tc, tq = ([(j, i) for i, j in pairs] for pairs in (c, q))
-        for conj, plain in ((c, q), (q, c), (tc, tq), (tq, tc)):
+        c, q = _pairs(canonicalize(degree3_query(key)))
+        for conj, plain in ((c, q), (q, c)):
             for rn, cn in product(permutations(sorted({i for i, _ in conj})),
                                   permutations(sorted({j for _, j in conj}))):
                 sig = tuple(tuple(sorted((rn[i - 1], cn[j - 1])
@@ -485,16 +485,16 @@ def match_closed_form(m: CanonicalMoment):
         return ("zero", RationalFunction.zero())
     if m.p == 0:
         return ("normalization", RationalFunction.one())
-    conj, plain = map(_counts, _pairs(m))
-    rows = sorted(set(m.I))
-    cols = sorted(set(m.J))
+    conj, plain = _pairs(m)
+    # the form numbers its rows and columns 1.. and sorts both pair lists
+    rows, cols = range(1, m.I[-1] + 1), range(1, max(m.J) + 1)
     if conj == plain:
-        hit = _match_direct(conj, rows, cols)
+        hit = _match_direct(_counts(conj), rows, cols)
     else:
-        hit = _match_exchange(conj, plain, rows, cols)
+        hit = _match_exchange(_counts(conj), _counts(plain), rows, cols)
     if hit or m.p != 3:
         return hit
-    return _catalog_signatures().get(tuple(map(tuple, _pairs(normal_form(m)))))
+    return _catalog_signatures().get((tuple(conj), tuple(plain)))
 
 
 # ---------------------------------------------------------------------------

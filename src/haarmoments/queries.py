@@ -1,23 +1,26 @@
-"""Moment queries and their canonical form.
+"""Moment queries and their normal form.
 
 A query asks for the Haar average of a monomial: the product of p conjugated
 matrix elements, picked out by row list I and column list J, and p plain
 elements picked out by K and L.  The average is zero unless K is a
-permutation of I and L is a permutation of J; otherwise the monomial can be
-rewritten so the plain rows equal I exactly, leaving a single permutation Q
-that says how the plain columns are matched against J.  That (I, J, Q) triple
-is what the closed-form matcher reads.  The group engine reads the moment's
-``normal_form``: its conjugated and plain pairs, renamed and sorted, so that
-queries that differ only in naming, alignment or (mostly) orientation share
-one form and one cache key.
+permutation of I and L is a permutation of J.  Otherwise it depends only on
+two pair tables, the conjugated pairs (I[a], J[a]) and the plain pairs
+(K[a], L[a]), up to renaming rows and columns and transposing both.
+``canonicalize`` builds the moment's normal form from them directly: the
+pairs renamed and sorted, stored as an aligned triple (I, J, Q) whose plain
+pairs are (I[a], J[Q[a]]).  Queries that differ only in naming, in the
+order of the plain factors or (mostly) in orientation share one form, which
+the closed-form matcher and the group engine read as it is and the engine
+keys its cache on.  ``CanonicalMoment`` builds the same form from any
+hand-aligned triple, so no record holds anything else.
 
 Every ``moment --batch`` line passes through here once, so each step takes
 one pass: ``MomentQuery.from_json_obj`` checks each list's entries once,
 and ``canonicalize`` checks the index range with ``min``/``max``, tests for
-zero on sorted lists and takes each first-fit match from a per-value queue
-of positions, O(p log p) in all.  The records are plain ``__slots__``
-classes (``_record``), so importing this module does not import
-``dataclasses``.
+zero on sorted lists, sorts the renamed pairs and takes Q as a first fit
+from a per-value queue of positions, O(p log p) in all.  The records are
+plain ``__slots__`` classes (``_record``), so importing this module does not
+import ``dataclasses``.
 """
 from __future__ import annotations
 
@@ -97,25 +100,36 @@ class MomentQuery(Record):
 
 
 class CanonicalMoment(Record):
-    """Either the zero marker, or the aligned form <I,J | I,J_Q>."""
+    """Either the zero marker, or the moment's normal form <I,J | I,J_Q>.
+
+    The constructor takes any aligned triple, plain pairs (I[a], J[Q[a]]),
+    and stores its normal form (``_normal``), so every nonzero record is its
+    own normal form; the zero marker is stored as given."""
     __slots__ = ("n", "p", "I", "J", "Q", "zero")
 
     def __init__(self, n: int, p: int, I: Indices, J: Indices, Q: Perm,
                  zero: bool = False):
-        _set(self, "n", n)
-        _set(self, "p", p)
-        _set(self, "I", I)
-        _set(self, "J", J)
-        _set(self, "Q", Q)
-        _set(self, "zero", zero)
+        if p and not zero:
+            I, J, Q = _normal(I, J, I, [J[b] for b in Q])
+        _fill(self, n, p, I, J, Q, zero)
+
+
+def _fill(m: CanonicalMoment, *values) -> CanonicalMoment:
+    """Set the record's fields in order: ``canonicalize`` stores the form it
+    built without running the constructor's builder a second time."""
+    for name, v in zip(m.__slots__, values):
+        _set(m, name, v)
+    return m
 
 
 def canonicalize(q: MomentQuery) -> CanonicalMoment:
-    """Validate a raw query and align it, or mark it as zero.
+    """Validate a raw query and return its normal form, or the zero marker.
 
     Raises ValueError on malformed input (length mismatches, indices outside
     1..n).  Returns the zero marker exactly when the multiset conditions fail:
     unequal degrees, K not a rearrangement of I, or L not one of J.
+    Otherwise the form is built from the pairs zip(I, J) and zip(K, L) as
+    they are, with no alignment of K onto I.
     """
     I, J, K, L, n = q.I, q.J, q.K, q.L, q.n
     p = len(I)
@@ -130,13 +144,39 @@ def canonicalize(q: MomentQuery) -> CanonicalMoment:
                         f"{name} contains index {v} outside 1..{n}")
     if len(K) != p or sorted(K) != sorted(I) or sorted(L) != sorted(J):
         return CanonicalMoment(n, p, (), (), (), zero=True)
-    # lexicographically smallest R with K[a] == I[R[a]], and L carried
-    # along it: aligned_L[R[a]] = L[a]
-    aligned_L = [0] * p
-    for a, b in enumerate(_first_fit(I, K)):
-        aligned_L[b] = L[a]
-    # stable first-fit Q with J[Q[a]] == aligned_L[a]
-    return CanonicalMoment(n, p, I, J, _first_fit(J, aligned_L))
+    if not p:
+        return CanonicalMoment(n, 0, (), (), ())
+    return _fill(CanonicalMoment.__new__(CanonicalMoment), n, p,
+                 *_normal(I, J, K, L), False)
+
+
+def _normal(I, J, K, L) -> tuple[Indices, Indices, Perm]:
+    """The normal form (I, J, Q) of the moment with conjugated pairs
+    (I[a], J[a]) and plain pairs (K[a], L[a]), p >= 1.
+
+    The moment depends only on which factors share a row or a column, so
+    the form renames them: transposed first when |S_J| > |S_I|, rows
+    numbered 1.. by first appearance in I, columns numbered 1.. by first
+    appearance once the conjugated pairs are stably in row order, and both
+    pair lists sorted.  Then I holds the sorted rows, J the conjugated
+    columns and Q the first fit of the sorted plain columns into J.  The
+    form is idempotent, does not depend on how the plain factors are
+    ordered or on how rows and columns are named, and is the same for a
+    query and its transpose when their stabilizers differ in size.  The
+    matcher reads it as it is, and the engine keys its shape weights on it
+    (``weingarten._shape_weights``); the tabloid route reads its pairs as
+    they are.
+    """
+    if _order(J) > _order(I):
+        I, J, K, L = J, I, L, K
+    numbers = range(1, len(I) + 1)
+    rows = dict(zip(dict.fromkeys(I), numbers)).__getitem__
+    in_row_order = sorted(zip(map(rows, I), J), key=itemgetter(0))
+    cols = dict(zip(dict.fromkeys(map(itemgetter(1), in_row_order)),
+                    numbers)).__getitem__
+    I, J = map(tuple, zip(*sorted(zip(map(rows, I), map(cols, J)))))
+    plain = sorted(zip(map(rows, K), map(cols, L)))
+    return I, J, _first_fit(J, list(map(itemgetter(1), plain)))
 
 
 def _first_fit(source: Sequence[int], target: Sequence[int]) -> Perm:
@@ -154,37 +194,6 @@ def _first_fit(source: Sequence[int], target: Sequence[int]) -> Perm:
     return tuple([next(fronts[v]) for v in target])
 
 
-def normal_form(m: CanonicalMoment) -> CanonicalMoment:
-    """The moment's two pair tables, conjugated pairs (I[a], J[a]) and plain
-    pairs (I[a], J[Q[a]]), as one aligned form.
-
-    The moment depends only on which factors share a row or a column, so
-    the form renames them: transposed first when |S_J| > |S_I|, rows
-    numbered 1.. by first appearance, columns numbered 1.. by first
-    appearance once the pairs are stably in row order, and both pair lists
-    sorted.  Then I holds the sorted rows, J the conjugated columns and Q
-    the first fit of the sorted plain columns into J.  The form is
-    idempotent, does not depend on the alignment ``canonicalize`` picked or
-    on how rows and columns are named, and is the same for a query and its
-    transpose when their stabilizers differ in size.  The engine keys its
-    shape weights (``weingarten._shape_weights``) on it and prices both
-    routes from it; the tabloid route reads its pairs as they are.
-    """
-    if m.zero or not m.p:
-        return m
-    conj = list(zip(m.I, m.J))
-    plain = [(i, m.J[b]) for i, b in zip(m.I, m.Q)]
-    if _order(m.J) > _order(m.I):
-        conj, plain = [(j, i) for i, j in conj], [(j, i) for i, j in plain]
-    rows = {v: k for k, v in enumerate(dict.fromkeys(i for i, _ in conj), 1)}
-    conj = sorted([(rows[i], j) for i, j in conj], key=itemgetter(0))
-    cols = {v: k for k, v in enumerate(dict.fromkeys(j for _, j in conj), 1)}
-    conj = sorted([(i, cols[j]) for i, j in conj])
-    plain = sorted([(rows[i], cols[j]) for i, j in plain])
-    I, J = map(tuple, zip(*conj))
-    return CanonicalMoment(m.n, m.p, I, J, _first_fit(J, [j for _, j in plain]))
-
-
 def _order(values: Sequence) -> int:
     """|S_values|, the product of the factorials of the multiplicities."""
     return prod(map(factorial, _counts(values).values()))
@@ -198,8 +207,8 @@ def _counts(values) -> dict:
     return out
 
 
-# perfbench/child.py imports both names: orient(relabel(m)) is the engine's key.
-relabel = orient = normal_form
+# perfbench/child.py keys on orient(relabel(m)); every form is already one.
+relabel = orient = lambda m: m
 
 
 def alignments(q: MomentQuery):

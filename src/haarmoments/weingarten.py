@@ -1,6 +1,8 @@
 """The group-sum engine for exact unitary moments.
 
-A canonical moment <I,J | I,J_Q> is evaluated as
+A canonical moment <I,J | I,J_Q>, the normal form that
+``queries.canonicalize`` and ``queries.CanonicalMoment`` build, is
+evaluated as
 
     sum_c  N(I, J, Q | c) * xi_p(c)
 
@@ -49,10 +51,10 @@ pair, and both give the same integers:
   last, whose weight the regular character gives (``_tabloids``).  No
   character table is needed.
 
-``_shape_weights`` is keyed on the moment's normal form
-(``queries.normal_form``) and takes the route with the smaller estimated
-cost, in compositions, priced from the form's multiplicities alone:
-|S_I|·|S_J|/|H| for the first, and for the second
+``_shape_weights`` is keyed on the form as it comes, since every
+``CanonicalMoment`` is a normal form, and takes the route with the smaller
+estimated cost, in compositions, priced from the form's multiplicities
+alone: |S_I|·|S_J|/|H| for the first, and for the second
 ``_tabloids.TABLOID_WEIGHT`` times the number of tabloids it counts, which
 depends on the block shapes alone (``_tabloids.cost``, cached per shape
 pair).  The weight was measured against the tuple loop, so an exact query
@@ -79,8 +81,7 @@ from .partitions import (
     dim_symmetric,
     schur_expansion,
 )
-from .queries import (CanonicalMoment, MomentQuery, _order, canonicalize,
-                      normal_form)
+from .queries import CanonicalMoment, MomentQuery, _order, canonicalize
 from .ratfun import Poly, RationalFunction, _divide_linear, expand
 from .stabilizer import stabilizer
 
@@ -215,7 +216,7 @@ def _enumerate(GI, GJ, reps, Q) -> dict[Partition, int]:
 @lru_cache(maxsize=4096)
 def _shape_weights(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
     """The nonzero shape weights {f: w_f} of the normal form <I,J | I,J_Q>
-    (``queries.normal_form``), by the cheaper route; refused when both cost
+    of a ``CanonicalMoment``, by the cheaper route; refused when both cost
     more than PAIR_CAP.  The double coset has |S_I|·|S_J|/|H| elements, H
     the stabilizer of the plain pairs, and the tabloid estimate depends on
     the block shapes alone.  The dict is the cached one: read it, do not
@@ -224,8 +225,10 @@ def _shape_weights(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
     compositions = _order(I) * _order(J) // _order(plain)
     tabloids = _tabloids.cost(_tabloids._shape(I), _tabloids._shape(J))
     if min(compositions, tabloids) > PAIR_CAP:
+        # the tabloid estimate stops summing once it passes the cap, so the
+        # message names the cap, not the partial sum
         raise ValueError(
-            f"shape weights cost {min(compositions, tabloids)} compositions "
+            f"shape weights cost more than {PAIR_CAP} compositions "
             f"or their worth in tabloids (cap {PAIR_CAP}); "
             "use Monte Carlo estimation for this query"
         )
@@ -242,7 +245,6 @@ def moment_symbolic(m: CanonicalMoment) -> RationalFunction:
         return RationalFunction.zero()
     if m.p == 0:
         return RationalFunction.one()
-    m = normal_form(m)
     return _fold_symbolic(_shape_weights(m.I, m.J, m.Q), m.p)
 
 
@@ -255,12 +257,12 @@ def moment_at(m: CanonicalMoment, n: int | None = None) -> Fraction:
         return Fraction(0)
     if m.p == 0:
         return Fraction(1)
-    m = normal_form(m)
     return _fold_at(_shape_weights(m.I, m.J, m.Q), n)
 
 
 def evaluate(q: MomentQuery, symbolic: bool = False):
-    """Full pipeline: canonicalize, then evaluate the normal form.
+    """Full pipeline: ``canonicalize`` builds the normal form, and its
+    shape weights are folded.
 
     Returns a Fraction (fixed n) or a RationalFunction (symbolic, valid for
     n >= p).

@@ -1,4 +1,4 @@
-"""Query model: validation, zero detection, canonical alignment, rewrites."""
+"""Query model: validation, zero detection, the normal form, rewrites."""
 import copy
 import json
 import pickle
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from haarmoments import weingarten
 from haarmoments.invariants import moment
 from haarmoments.queries import (CanonicalMoment, MomentQuery, alignments,
-                                 canonicalize, normal_form)
+                                 canonicalize)
 from haarmoments.stabilizer import CosetReps, YoungSubgroup
 from haarmoments.weingarten import PAIR_CAP
 
@@ -91,11 +91,13 @@ def test_zero_when_multisets_differ():
     assert m.zero
 
 
-def test_canonical_alignment_simple():
+def test_canonical_form_simple():
+    # row 1 and column 2 are renamed 1: the form keeps no index names
     q = MomentQuery.make(3, (1,), (2,), (1,), (2,))
     m = canonicalize(q)
     assert not m.zero
-    assert m.p == 1 and m.I == (1,) and m.J == (2,) and m.Q == (0,)
+    assert m.n == 3 and m.p == 1 and m.I == (1,) and m.J == (1,)
+    assert m.Q == (0,)
 
 
 def test_canonical_q_aligns_columns():
@@ -117,39 +119,39 @@ def test_alignments_enumerates_all_valid_pairs():
 
 
 def test_normal_form_numbers_rows_then_columns_by_first_appearance():
-    m = canonicalize(MomentQuery.make(4, (3, 3, 2), (4, 1, 1),
+    r = canonicalize(MomentQuery.make(4, (3, 3, 2), (4, 1, 1),
                                       (3, 3, 2), (4, 1, 1)))
-    r = normal_form(m)
     assert r.I == (1, 1, 2)
     assert r.J == (1, 2, 2)
     # rows 2, 1 become 1, 2; the columns are numbered in that row order
     # (5, 6 in row 1, then 7), and both pair lists come out sorted
     m = canonicalize(MomentQuery.make(7, (2, 1, 2), (5, 7, 6),
                                       (1, 2, 2), (6, 5, 7)))
-    assert normal_form(m) == CanonicalMoment(7, 3, (1, 1, 2), (1, 2, 3),
-                                             (0, 2, 1))
+    assert (m.n, m.p, m.I, m.J, m.Q) == (7, 3, (1, 1, 2), (1, 2, 3),
+                                         (0, 2, 1))
 
 
 def test_normal_form_transposes_when_the_columns_repeat_more():
     # |S_J| = 2 > |S_I| = 1: the rows of the form are the query's columns,
     # and the plain pairs are transposed with the conjugated ones
     q = MomentQuery.make(3, (1, 2, 3), (1, 1, 2), (1, 2, 3), (1, 2, 1))
-    want = CanonicalMoment(3, 3, (1, 1, 2), (1, 2, 3), (0, 2, 1))
-    assert normal_form(canonicalize(q)) == want
+    m = canonicalize(q)
+    assert (m.I, m.J, m.Q) == ((1, 1, 2), (1, 2, 3), (0, 2, 1))
     transposed = MomentQuery.make(3, q.J, q.I, q.L, q.K)
-    assert normal_form(canonicalize(transposed)) == want
+    assert canonicalize(transposed) == m
 
 
 def test_normal_form_puts_the_larger_stabilizer_first():
     # I has trivial stabilizer, J fully repeated: the form is transposed
     q = MomentQuery.make(3, (1, 2, 3), (1, 1, 1), (1, 2, 3), (1, 1, 1))
-    m = normal_form(canonicalize(q))
+    m = canonicalize(q)
     assert m.I == (1, 1, 1) and m.J == (1, 2, 3)
 
 
 def test_zero_marker_is_stable_under_rewrites():
     m = canonicalize(MomentQuery.make(2, (1,), (1,), (2,), (1,)))
-    assert normal_form(m) is m and m.zero
+    assert m.zero and (m.I, m.J, m.Q) == ((), (), ())
+    assert CanonicalMoment(m.n, m.p, m.I, m.J, m.Q, m.zero) == m
 
 
 def _order(values) -> int:
@@ -175,48 +177,72 @@ def _presentations(draw):
     return q, renamed
 
 
-def _value(m: CanonicalMoment):
-    """The moment as a rational function of n, from the class counts of
-    its own aligned form: no normal form is taken."""
+def _value(I, J, Q):
+    """The moment <I,J | I,J_Q> as a rational function of n, from the class
+    counts of the aligned triple as given: no normal form is taken."""
     return weingarten._fold_symbolic(
-        weingarten._weights(weingarten.class_counts(m.I, m.J, m.Q)), m.p)
+        weingarten._weights(weingarten.class_counts(I, J, Q)), len(I))
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(_presentations())
 def test_normal_form_property(queries):
     q, renamed = queries
-    m = canonicalize(q)
-    form = normal_form(m)
-    assert normal_form(form) == form
-    assert _value(form) == _value(m)
-    again = normal_form(canonicalize(renamed))
+    form = canonicalize(q)
+    assert _value(form.I, form.J, form.Q) == _value(q.I, q.J,
+                                                    _first_fit_alignment(q))
+    again = canonicalize(renamed)
     assert (again.I, again.J, again.Q) == (form.I, form.J, form.Q)
     if _order(q.I) != _order(q.J):
         transposed = MomentQuery.make(q.n, q.J, q.I, q.L, q.K)
-        assert normal_form(canonicalize(transposed)) == form
-    if m.p <= 4:
+        assert canonicalize(transposed) == form
+    if form.p <= 4:
+        # the constructor gives the same form from every alignment
         for _, Q in alignments(q):
-            assert normal_form(CanonicalMoment(q.n, m.p, q.I, q.J, Q)) == form
+            assert CanonicalMoment(q.n, form.p, q.I, q.J, Q) == form
+
+
+@st.composite
+def _aligned_triples(draw):
+    """An aligned triple (I, J, Q) of degree p <= 6 over the labels 1..2p,
+    a normal form or not."""
+    p = draw(st.integers(1, 6))
+    labels = st.integers(1, draw(st.integers(1, 2 * p)))
+    I = draw(st.lists(labels, min_size=p, max_size=p))
+    J = draw(st.lists(labels, min_size=p, max_size=p))
+    return tuple(I), tuple(J), tuple(draw(st.permutations(range(p))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_aligned_triples())
+def test_every_canonical_moment_is_its_own_normal_form(triple):
+    # the constructor and canonicalize build the same form, and building it
+    # again from the form's own fields, or unpickling it, changes nothing
+    I, J, Q = triple
+    p = len(I)
+    m = CanonicalMoment(2 * p, p, I, J, Q)
+    q = MomentQuery.make(2 * p, I, J, I, [J[b] for b in Q])
+    assert canonicalize(q) == m
+    assert CanonicalMoment(m.n, m.p, m.I, m.J, m.Q) == m
+    assert pickle.loads(pickle.dumps(m)) == m
+    assert set(m.I) == set(range(1, max(m.I) + 1))
+    assert set(m.J) == set(range(1, max(m.J) + 1))
+    conj = list(zip(m.I, m.J))
+    plain = [(i, m.J[b]) for i, b in zip(m.I, m.Q)]
+    assert conj == sorted(conj) and plain == sorted(plain)
+    assert _order(m.I) >= _order(m.J)
 
 
 # ---------------------------------------------------------------------------
 # canonicalize against the first-fit reference
 
 
-def _first_fit_canonicalize(q: MomentQuery) -> CanonicalMoment:
-    """Canonicalize as two quadratic first-fit loops over multiset counts:
-    the reference for the position queues of ``canonicalize``."""
-    if len(q.I) != len(q.J) or len(q.K) != len(q.L):
-        raise ValueError("row and column lists must have equal lengths")
-    for name, seq in (("I", q.I), ("J", q.J), ("K", q.K), ("L", q.L)):
-        for v in seq:
-            if not 1 <= v <= q.n:
-                raise ValueError(f"{name} contains index {v} outside 1..{q.n}")
+def _first_fit_alignment(q: MomentQuery) -> tuple[int, ...]:
+    """The Q of a nonzero query's first alignment, by two quadratic
+    first-fit loops: R takes each plain row to the first free equal row of
+    I, and Q each plain column, carried along R, to the first free equal
+    column of J."""
     p = len(q.I)
-    if (len(q.K) != p or Counter(q.K) != Counter(q.I)
-            or Counter(q.L) != Counter(q.J)):
-        return CanonicalMoment(q.n, p, (), (), (), zero=True)
     used = [False] * p
     R = []
     for a in range(p):
@@ -237,7 +263,24 @@ def _first_fit_canonicalize(q: MomentQuery) -> CanonicalMoment:
                 Q.append(b)
                 used[b] = True
                 break
-    return CanonicalMoment(q.n, p, q.I, q.J, tuple(Q))
+    return tuple(Q)
+
+
+def _first_fit_canonicalize(q: MomentQuery) -> CanonicalMoment:
+    """Validate, test for zero and align in plain loops, and take the form
+    by the constructor: the reference for ``canonicalize``, which builds
+    the form from the pairs without an alignment."""
+    if len(q.I) != len(q.J) or len(q.K) != len(q.L):
+        raise ValueError("row and column lists must have equal lengths")
+    for name, seq in (("I", q.I), ("J", q.J), ("K", q.K), ("L", q.L)):
+        for v in seq:
+            if not 1 <= v <= q.n:
+                raise ValueError(f"{name} contains index {v} outside 1..{q.n}")
+    p = len(q.I)
+    if (len(q.K) != p or Counter(q.K) != Counter(q.I)
+            or Counter(q.L) != Counter(q.J)):
+        return CanonicalMoment(q.n, p, (), (), (), zero=True)
+    return CanonicalMoment(q.n, p, q.I, q.J, _first_fit_alignment(q))
 
 
 @st.composite
@@ -287,7 +330,10 @@ def test_canonicalize_large_degree_is_fast_and_still_refused():
     m = canonicalize(q)
     assert time.perf_counter() - start < 3.0
     assert not m.zero and m.p == 2 * k
-    assert m.Q == tuple(b for a in range(0, 2 * k, 2) for b in (a + 1, a))
+    # the form sorts both pair lists: conjugated (1,1)^k (2,2)^k, plain
+    # (1,2)^k (2,1)^k
+    assert m.I == m.J == (1,) * k + (2,) * k
+    assert m.Q == tuple(range(k, 2 * k)) + tuple(range(k))
     with pytest.raises(ValueError, match=rf"\(cap {PAIR_CAP}\)"):
         moment(q)
 

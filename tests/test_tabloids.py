@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from haarmoments import _tabloids
 from haarmoments.partitions import compose, cycle_type
-from haarmoments.queries import CanonicalMoment, normal_form
+from haarmoments.queries import CanonicalMoment
 
 
 def _pairs(I, J, Q):
     """The kernel's inputs, as ``_tabloids.shape_weights`` reads them off
     the normal form of <I,J | I,J_Q>."""
-    m = normal_form(CanonicalMoment(len(I), len(I), I, J, Q))
+    m = CanonicalMoment(len(I), len(I), I, J, Q)
     conj = list(zip(m.I, m.J))
     plain = [(i, m.J[b]) for i, b in zip(m.I, m.Q)]
     shapes = _tabloids._shape(m.I), _tabloids._shape(m.J)
