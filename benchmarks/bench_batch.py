@@ -16,7 +16,10 @@ Two kinds of case:
   ``canonicalize`` returns the normal form instead of an alignment, its
   result differs from that of earlier commits, while the key does not.
   Entries written before that change record the stage as
-  ``canonicalize``, digested on ``canonicalize``'s own result.
+  ``canonicalize``, digested on ``canonicalize``'s own result.  The key is
+  digested as (n, p, I, J, Q, zero); since the record holds the plain
+  columns L instead of Q, Q is read through its ``Q`` accessor, the first
+  fit of L into J, which gives the digest of earlier commits.
 * whole processes: ``python -m haarmoments.cli moment --batch`` on an empty
   file (start-up alone) and on the batch-heavy, batch-symbolic and
   batch-light corpora (seed 3), output piped, ``PYTHONUNBUFFERED=1`` as the

@@ -145,7 +145,7 @@ def run_weights(index: int) -> dict:
         return out
 
     weingarten._shape_weights = timed
-    m = CanonicalMoment(len(I), len(I), I, J, Q)
+    m = CanonicalMoment(len(I), len(I), I, J, tuple(J[b] for b in Q))
     start = time.perf_counter()
     weingarten.moment_symbolic(m)
     total = time.perf_counter() - start
@@ -160,8 +160,8 @@ def run_weights(index: int) -> dict:
 
 
 def _heavy_keys() -> list[tuple]:
-    """The batch-heavy keys of seed 3, canonicalized: the normal form the
-    engine keys its shape weights on."""
+    """The batch-heavy keys of seed 3, canonicalized: the fields (I, J, L)
+    of the normal form, which the engine keys its shape weights on."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent
                            / "perfbench"))
     import corpus
@@ -172,7 +172,7 @@ def _heavy_keys() -> list[tuple]:
         q = MomentQuery.from_json_obj(
             {k: v for k, v in line.items() if k != "kind"})
         m = canonicalize(q)
-        keys.append((m.I, m.J, m.Q))
+        keys.append((m.I, m.J, m.L))
     return keys
 
 
@@ -194,13 +194,13 @@ def run_warm(passes: int = 5) -> dict:
         return min(times)
 
     out = []
-    for I, J, Q in keys:
+    for I, J, L in keys:
         mu_I, mu_J = _tabloids._shape(I), _tabloids._shape(J)
         *counted, _ = _tabloids.dominating(mu_I, mu_J)
         tabloids = sum(factorial(len(I)) // prod(map(factorial, nu))
                        for nu in counted)
-        out.append({"I": I, "J": J, "Q": Q, "shapes": [mu_I, mu_J],
-                    "tabloids": tabloids, "seconds": best([(I, J, Q)])})
+        out.append({"I": I, "J": J, "L": L, "shapes": [mu_I, mu_J],
+                    "tabloids": tabloids, "seconds": best([(I, J, L)])})
     return {"seconds": best(keys), "keys": out,
             "weights_sha256": _digest([sorted([list(f), c]
                                               for f, c in w.items())

@@ -1,9 +1,10 @@
 """Shape weights by Young's rule: count tabloids instead of compositions.
 
-The shape weights of <I,J | I,J_Q> are w_f = sum chi_f(S∘Q∘R) over R in S_I
-and S in S_J.  The permutation module M^nu on the nu-tabloids (row
-assignments of the p points with nu_r points in row r) has character
-sum_f K_{f,nu} chi_f (Young's rule; Sagan, *The Symmetric Group*, §2.11), so
+The shape weights of <I,J | I,L> are w_f = sum chi_f(S∘Q∘R) over R in S_I
+and S in S_J, for any Q with J[Q[a]] == L[a].  The permutation module M^nu
+on the nu-tabloids (row assignments of the p points with nu_r points in row
+r) has character sum_f K_{f,nu} chi_f (Young's rule; Sagan, *The Symmetric
+Group*, §2.11), so
 
     R_nu = sum_{R,S} fix_nu(S∘Q∘R) = sum_f K_{f,nu} w_f,
 
@@ -20,25 +21,25 @@ The last shape of F, the one every other shape dominates, has the most
 tabloids, and it needs none.  The regular character sum_f d_f chi_f(g) is
 p! at g = id and 0 elsewhere, so sum_f d_f w_f = p! N_id, N_id the number of
 pairs with S∘Q∘R = id.  Such an R sends each point to one whose plain label
-pair (I, J_Q) equals the point's conjugated pair (I, J), so N_id = |H|, the
+pair (I, L) equals the point's conjugated pair (I, J), so N_id = |H|, the
 product of the factorials of the pair multiplicities, when the conjugated
 and plain pair multisets agree, and 0 otherwise.  The last w_f is what that
 sum leaves over d_f.
 
 R_nu itself is a count of tabloids.  Give a tabloid t its table A (points of
 each I-block in each row), its table B over the labels J[x] and its table
-B_Q over the labels J[Q[x]].  Then
+B_L over the labels L[x].  Then
 
     R_nu = sum_{A,B} N_conj[A,B] * N_plain[A,B] * prod A! * prod B!,
 
-where N_conj counts tabloids by (A, B) and N_plain by (A, B_Q).  Both are
-found by a dynamic program over the points, sorted by label pair, that
-keeps one state per partial pair of tables: tabloids that agree on the
-tables so far are counted together.  A pair of tables is one integer, the A
-half in its low digits and the B half above.  The states are grouped by how
-far each row is filled, so a group looks up its open rows once and moves all
-its states into one target group per open row; the first move into a target
-is one dict comprehension.
+where N_conj counts tabloids by (A, B) and N_plain by (A, B_L), so no Q is
+needed.  Both are found by a dynamic program over the points, sorted by
+label pair, that keeps one state per partial pair of tables: tabloids that
+agree on the tables so far are counted together.  A pair of tables is one
+integer, the A half in its low digits and the B half above.  The states are
+grouped by how far each row is filled, so a group looks up its open rows
+once and moves all its states into one target group per open row; the first
+move into a target is one dict comprehension.
 
 The sum above runs over pairs of tabloids with matching tables, and
 permuting rows of equal length in both keeps the match and the weight.  So
@@ -56,8 +57,9 @@ shapes alone, TABLOID_WEIGHT compositions per tabloid, summed only until it
 passes PAIR_CAP, and ``weingarten._shape_weights`` takes this route when it
 is the cheaper one.  It hands over the moment's normal form, the
 ``CanonicalMoment`` that ``queries.canonicalize`` or the record's
-constructor built, whose sorted pairs the program reads as they are: a
-hand-aligned triple that skipped the form would give wrong weights.
+constructor built, whose sorted pairs zip(I, J) and zip(I, L) the program
+reads as they are: a triple that skipped the form would give wrong
+weights.
 Everything here is exact integer arithmetic in pure Python.
 """
 from __future__ import annotations
@@ -130,13 +132,13 @@ def cost(mu_a: Partition, mu_b: Partition) -> int:
 
 
 def shape_weights(I: Sequence[int], J: Sequence[int],
-                  Q: Sequence[int]) -> dict[Partition, int]:
-    """The nonzero shape weights {f: w_f} of the normal form <I,J | I,J_Q>
+                  L: Sequence[int]) -> dict[Partition, int]:
+    """The nonzero shape weights {f: w_f} of the normal form <I,J | I,L>
     (a ``queries.CanonicalMoment``): only shapes f that dominate both block
     shapes can have one.  The form numbers rows and columns from 1 and
-    sorts both pair lists, and the program reads them as they are."""
-    conj = list(zip(I, J))
-    plain = [(i, J[b]) for i, b in zip(I, Q)]
+    sorts both pair lists, zip(I, J) and zip(I, L), and the program reads
+    them as they are."""
+    conj, plain = list(zip(I, J)), list(zip(I, L))
     *upper, last = dominating(_shape(I), _shape(J))
     out: dict[Partition, int] = {}
     for nu in upper:

@@ -451,29 +451,24 @@ def _match_exchange(wc: dict, wp: dict, rows, cols):
     return None
 
 
-def _pairs(m: CanonicalMoment) -> tuple[list, list]:
-    """The conjugated pairs (I[a], J[a]) and the plain pairs (I[a], J[Q[a]]),
-    both sorted, as the normal form holds them."""
-    return list(zip(m.I, m.J)), list(zip(m.I, map(m.J.__getitem__, m.Q)))
-
-
 @lru_cache(maxsize=None)
 def _catalog_signatures() -> dict[tuple, tuple[str, RationalFunction]]:
-    """The sorted conjugated and plain pairs of every normal form of each
-    degree-3 catalog moment, to its key and closed form: the two factor
-    lists swapped or not, and the rows 1..r and columns 1..c renamed in
-    every way, as the form may name them.  The form fixes the orientation;
-    where the stabilizers tie, the transpose of a catalog moment is a
-    catalog moment with the same value."""
+    """The fields (I, J, L) of every normal form of each degree-3 catalog
+    moment, to its key and closed form: the conjugated and plain pairs
+    swapped or not, and the rows 1..r and columns 1..c renamed in every
+    way, as the form may name them, with both pair lists sorted.  The form
+    fixes the orientation; where the stabilizers tie, the transpose of a
+    catalog moment is a catalog moment with the same value."""
     sigs: dict[tuple, tuple[str, RationalFunction]] = {}
     for key in DEGREE3_KEYS:
-        c, q = _pairs(canonicalize(degree3_query(key)))
-        for conj, plain in ((c, q), (q, c)):
-            for rn, cn in product(permutations(sorted({i for i, _ in conj})),
-                                  permutations(sorted({j for _, j in conj}))):
-                sig = tuple(tuple(sorted((rn[i - 1], cn[j - 1])
-                                         for i, j in pairs))
-                            for pairs in (conj, plain))
+        m = canonicalize(degree3_query(key))
+        for J, L in ((m.J, m.L), (m.L, m.J)):
+            for rn, cn in product(permutations(range(1, m.I[-1] + 1)),
+                                  permutations(range(1, max(J) + 1))):
+                conj, plain = (sorted((rn[i - 1], cn[j - 1])
+                                      for i, j in zip(m.I, cols))
+                               for cols in (J, L))
+                sig = (*zip(*conj), tuple(j for _, j in plain))
                 sigs.setdefault(sig, (key, degree3(key)))
     return sigs
 
@@ -485,16 +480,17 @@ def match_closed_form(m: CanonicalMoment):
         return ("zero", RationalFunction.zero())
     if m.p == 0:
         return ("normalization", RationalFunction.one())
-    conj, plain = _pairs(m)
-    # the form numbers its rows and columns 1.. and sorts both pair lists
+    # the form numbers its rows and columns 1.., sorts both pair lists and
+    # holds them as zip(I, J) and zip(I, L)
+    conj = _counts(zip(m.I, m.J))
     rows, cols = range(1, m.I[-1] + 1), range(1, max(m.J) + 1)
-    if conj == plain:
-        hit = _match_direct(_counts(conj), rows, cols)
+    if m.J == m.L:
+        hit = _match_direct(conj, rows, cols)
     else:
-        hit = _match_exchange(_counts(conj), _counts(plain), rows, cols)
+        hit = _match_exchange(conj, _counts(zip(m.I, m.L)), rows, cols)
     if hit or m.p != 3:
         return hit
-    return _catalog_signatures().get((tuple(conj), tuple(plain)))
+    return _catalog_signatures().get((m.I, m.J, m.L))
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,21 @@ permutation of I and L is a permutation of J.  Otherwise it depends only on
 two pair tables, the conjugated pairs (I[a], J[a]) and the plain pairs
 (K[a], L[a]), up to renaming rows and columns and transposing both.
 ``canonicalize`` builds the moment's normal form from them directly: the
-pairs renamed and sorted, stored as an aligned triple (I, J, Q) whose plain
-pairs are (I[a], J[Q[a]]).  Queries that differ only in naming, in the
-order of the plain factors or (mostly) in orientation share one form, which
-the closed-form matcher and the group engine read as it is and the engine
-keys its cache on.  ``CanonicalMoment`` builds the same form from any
-hand-aligned triple, so no record holds anything else.
+pairs renamed and sorted, stored as the sorted rows I, the conjugated
+columns J and the plain columns L, so that the conjugated pairs are
+zip(I, J) and the plain pairs zip(I, L).  Queries that differ only in
+naming, in the order of the plain factors or (mostly) in orientation share
+one form, which the closed-form matcher and the group engine read as it is
+and the engine keys its cache on.  ``CanonicalMoment`` builds the same form
+from any (I, J, L), L a rearrangement of J, so no record holds anything
+else.
 
 Every ``moment --batch`` line passes through here once, so each step takes
 one pass: ``MomentQuery.from_json_obj`` checks each list's entries once,
 and ``canonicalize`` checks the index range with ``min``/``max``, tests for
-zero on sorted lists, sorts the renamed pairs and takes Q as a first fit
-from a per-value queue of positions, O(p log p) in all.  The records are
-plain ``__slots__`` classes (``_record``), so importing this module does not
-import ``dataclasses``.
+zero on sorted lists and sorts the renamed pairs, O(p log p) in all.  The
+records are plain ``__slots__`` classes (``_record``), so importing this
+module does not import ``dataclasses``.
 """
 from __future__ import annotations
 
@@ -100,18 +101,28 @@ class MomentQuery(Record):
 
 
 class CanonicalMoment(Record):
-    """Either the zero marker, or the moment's normal form <I,J | I,J_Q>.
+    """Either the zero marker, or the moment's normal form: conjugated pairs
+    (I[a], J[a]) and plain pairs (I[a], L[a]), both sorted.
 
-    The constructor takes any aligned triple, plain pairs (I[a], J[Q[a]]),
-    and stores its normal form (``_normal``), so every nonzero record is its
-    own normal form; the zero marker is stored as given."""
-    __slots__ = ("n", "p", "I", "J", "Q", "zero")
+    The constructor takes any (I, J, L) and stores the normal form of the
+    moment with those pairs (``_normal``), so every nonzero record is its
+    own normal form; the zero marker is stored as given.  Unless ``zero``
+    is set, it raises ValueError when I, J and L do not all have p entries
+    or L is not a rearrangement of J."""
+    __slots__ = ("n", "p", "I", "J", "L", "zero")
 
-    def __init__(self, n: int, p: int, I: Indices, J: Indices, Q: Perm,
+    def __init__(self, n: int, p: int, I: Indices, J: Indices, L: Indices,
                  zero: bool = False):
+        if not zero and (not len(I) == len(J) == len(L) == p
+                         or sorted(L) != sorted(J)):
+            raise ValueError("I, J and L must have p entries each, "
+                             "and L must be a rearrangement of J")
         if p and not zero:
-            I, J, Q = _normal(I, J, I, [J[b] for b in Q])
-        _fill(self, n, p, I, J, Q, zero)
+            I, J, L = _normal(I, J, I, L)
+        _fill(self, n, p, I, J, L, zero)
+
+    # perfbench/child.py keys on (m.I, m.J, m.Q), Q the first fit of L in J.
+    Q = property(lambda m: _first_fit(m.J, m.L))
 
 
 def _fill(m: CanonicalMoment, *values) -> CanonicalMoment:
@@ -150,8 +161,8 @@ def canonicalize(q: MomentQuery) -> CanonicalMoment:
                  *_normal(I, J, K, L), False)
 
 
-def _normal(I, J, K, L) -> tuple[Indices, Indices, Perm]:
-    """The normal form (I, J, Q) of the moment with conjugated pairs
+def _normal(I, J, K, L) -> tuple[Indices, Indices, Indices]:
+    """The normal form (I, J, L) of the moment with conjugated pairs
     (I[a], J[a]) and plain pairs (K[a], L[a]), p >= 1.
 
     The moment depends only on which factors share a row or a column, so
@@ -159,11 +170,11 @@ def _normal(I, J, K, L) -> tuple[Indices, Indices, Perm]:
     numbered 1.. by first appearance in I, columns numbered 1.. by first
     appearance once the conjugated pairs are stably in row order, and both
     pair lists sorted.  Then I holds the sorted rows, J the conjugated
-    columns and Q the first fit of the sorted plain columns into J.  The
-    form is idempotent, does not depend on how the plain factors are
-    ordered or on how rows and columns are named, and is the same for a
-    query and its transpose when their stabilizers differ in size.  The
-    matcher reads it as it is, and the engine keys its shape weights on it
+    columns and L the plain columns, both in row order.  The form is
+    idempotent, does not depend on how the plain factors are ordered or on
+    how rows and columns are named, and is the same for a query and its
+    transpose when their stabilizers differ in size.  The matcher reads it
+    as it is, and the engine keys its shape weights on it
     (``weingarten._shape_weights``); the tabloid route reads its pairs as
     they are.
     """
@@ -176,7 +187,7 @@ def _normal(I, J, K, L) -> tuple[Indices, Indices, Perm]:
                     numbers)).__getitem__
     I, J = map(tuple, zip(*sorted(zip(map(rows, I), map(cols, J)))))
     plain = sorted(zip(map(rows, K), map(cols, L)))
-    return I, J, _first_fit(J, list(map(itemgetter(1), plain)))
+    return I, J, tuple(map(itemgetter(1), plain))
 
 
 def _first_fit(source: Sequence[int], target: Sequence[int]) -> Perm:
@@ -212,7 +223,10 @@ relabel = orient = lambda m: m
 
 
 def alignments(q: MomentQuery):
-    """All valid (R, Q) alignment pairs for a nonzero query.
+    """All valid (R, Q) alignment pairs for a nonzero query: R takes the
+    plain rows K onto I and Q the plain columns, carried along R, onto J,
+    so the plain pairs are (I[a], J[Q[a]]) and the form's constructor takes
+    L = tuple(J[b] for b in Q).
 
     Exponentially many in the repetition structure — intended for the
     choice-independence checks on small queries only.

@@ -418,7 +418,7 @@ def run_properties(seed: int = DEFAULT_SEED, trials: int = 200,
         else:
             values = {
                 weingarten.moment_at(
-                    CanonicalMoment(n, p, q.I, q.J, Q), n)
+                    CanonicalMoment(n, p, q.I, q.J, [q.J[b] for b in Q]), n)
                 for _R, Q in alignments(q)
             }
             if values != {base}:

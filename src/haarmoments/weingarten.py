@@ -1,14 +1,14 @@
 """The group-sum engine for exact unitary moments.
 
-A canonical moment <I,J | I,J_Q>, the normal form that
-``queries.canonicalize`` and ``queries.CanonicalMoment`` build, is
-evaluated as
+A canonical moment <I,J | I,L>, the normal form that
+``queries.canonicalize`` and ``queries.CanonicalMoment`` build, with
+conjugated pairs (I[a], J[a]) and plain pairs (I[a], L[a]), is evaluated as
 
     sum_c  N(I, J, Q | c) * xi_p(c)
 
-where c runs over cycle types of degree p, N counts the pairs (R, S) over the
-stabilizers of I and J whose composition S∘Q∘R falls in class c, and xi_p is
-the class integral
+where Q is any permutation with J[Q[a]] == L[a], c runs over cycle types of
+degree p, N counts the pairs (R, S) over the stabilizers of I and J whose
+composition S∘Q∘R falls in class c, and xi_p is the class integral
 
     xi_p(c) = sum_f  d_f^2 chi_f(c) / ((p!)^2 dbar_f)
 
@@ -41,7 +41,8 @@ The weights are found on one of two routes, never by enumerating every
 pair, and both give the same integers:
 
 * compositions: S∘Q∘R takes each element of the double coset S_J·Q·S_I
-  exactly |H| times, H = S_J ∩ Q·S_I·Q⁻¹, so the engine composes each
+  exactly |H| times, H = S_J ∩ Q·S_I·Q⁻¹, so the engine takes Q as the
+  first fit of L into J (the only route that needs a Q), composes each
   element once, weights its class by |H| and folds the class counts with
   the characters.  The cycle types are counted by ``_counting``: by a
   tuple loop up to ``_counting._LOOP_MAX`` (2^16) compositions, and above
@@ -51,10 +52,10 @@ pair, and both give the same integers:
   last, whose weight the regular character gives (``_tabloids``).  No
   character table is needed.
 
-``_shape_weights`` is keyed on the form as it comes, since every
-``CanonicalMoment`` is a normal form, and takes the route with the smaller
-estimated cost, in compositions, priced from the form's multiplicities
-alone: |S_I|·|S_J|/|H| for the first, and for the second
+``_shape_weights`` is keyed on the form's (I, J, L) as they come, since
+every ``CanonicalMoment`` is a normal form, and takes the route with the
+smaller estimated cost, in compositions, priced from the form's
+multiplicities alone: |S_I|·|S_J|/|H| for the first, and for the second
 ``_tabloids.TABLOID_WEIGHT`` times the number of tabloids it counts, which
 depends on the block shapes alone (``_tabloids.cost``, cached per shape
 pair).  The weight was measured against the tuple loop, so an exact query
@@ -81,7 +82,8 @@ from .partitions import (
     dim_symmetric,
     schur_expansion,
 )
-from .queries import CanonicalMoment, MomentQuery, _order, canonicalize
+from .queries import (CanonicalMoment, MomentQuery, _first_fit, _order,
+                      canonicalize)
 from .ratfun import Poly, RationalFunction, _divide_linear, expand
 from .stabilizer import stabilizer
 
@@ -177,7 +179,7 @@ def pair_count(m: CanonicalMoment) -> int:
 
 def class_counts(I, J, Q) -> dict[Partition, int]:
     """Counts, by cycle type of S∘Q∘R, of stabilizer pairs (R, S)."""
-    GI, GJ, reps = _double_coset(I, J, Q)
+    GI, GJ, reps = _double_coset(I, J, [J[b] for b in Q])
     total = GI.order * GJ.order
     if total > PAIR_CAP:
         raise ValueError(
@@ -187,15 +189,16 @@ def class_counts(I, J, Q) -> dict[Partition, int]:
     return _enumerate(GI, GJ, reps, Q)
 
 
-def _double_coset(I, J, Q):
-    """S_I, S_J and one R from each right coset H'∘R in S_I.
+def _double_coset(I, J, L):
+    """S_I, S_J and one R from each right coset H'∘R in S_I, H' the
+    subgroup of S_I that also fixes the plain columns L.
 
-    S∘Q∘R == S'∘Q∘R' exactly when R'∘R⁻¹ lies in H' = S_I ∩ Q⁻¹·S_J·Q, the
-    subgroup of S_I that also fixes x -> J[Q[x]].  So S over S_J and R over
-    the representatives give every element of S_J·Q·S_I once, and each
-    stands for |H'| pairs."""
+    For any Q with J[Q[x]] == L[x], S∘Q∘R == S'∘Q∘R' exactly when R'∘R⁻¹
+    lies in H' = S_I ∩ Q⁻¹·S_J·Q.  So S over S_J and R over the
+    representatives give every element of S_J·Q·S_I once, and each stands
+    for |H'| pairs.  Only the composition needs Q itself."""
     GI = stabilizer(I)
-    return GI, stabilizer(J), GI.cosets([J[Q[x]] for x in range(len(I))])
+    return GI, stabilizer(J), GI.cosets(L)
 
 
 def _enumerate(GI, GJ, reps, Q) -> dict[Partition, int]:
@@ -214,15 +217,15 @@ def _enumerate(GI, GJ, reps, Q) -> dict[Partition, int]:
 
 
 @lru_cache(maxsize=4096)
-def _shape_weights(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
-    """The nonzero shape weights {f: w_f} of the normal form <I,J | I,J_Q>
+def _shape_weights(I: tuple, J: tuple, L: tuple) -> dict[Partition, int]:
+    """The nonzero shape weights {f: w_f} of the normal form <I,J | I,L>
     of a ``CanonicalMoment``, by the cheaper route; refused when both cost
     more than PAIR_CAP.  The double coset has |S_I|·|S_J|/|H| elements, H
     the stabilizer of the plain pairs, and the tabloid estimate depends on
-    the block shapes alone.  The dict is the cached one: read it, do not
+    the block shapes alone.  Only the composition route builds a Q, the
+    first fit of L into J.  The dict is the cached one: read it, do not
     change it."""
-    plain = zip(I, [J[b] for b in Q])
-    compositions = _order(I) * _order(J) // _order(plain)
+    compositions = _order(I) * _order(J) // _order(zip(I, L))
     tabloids = _tabloids.cost(_tabloids._shape(I), _tabloids._shape(J))
     if min(compositions, tabloids) > PAIR_CAP:
         # the tabloid estimate stops summing once it passes the cap, so the
@@ -233,8 +236,8 @@ def _shape_weights(I: tuple, J: tuple, Q: tuple) -> dict[Partition, int]:
             "use Monte Carlo estimation for this query"
         )
     if tabloids < compositions:
-        return _tabloids.shape_weights(I, J, Q)
-    return _weights(_enumerate(*_double_coset(I, J, Q), Q))
+        return _tabloids.shape_weights(I, J, L)
+    return _weights(_enumerate(*_double_coset(I, J, L), _first_fit(J, L)))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +248,7 @@ def moment_symbolic(m: CanonicalMoment) -> RationalFunction:
         return RationalFunction.zero()
     if m.p == 0:
         return RationalFunction.one()
-    return _fold_symbolic(_shape_weights(m.I, m.J, m.Q), m.p)
+    return _fold_symbolic(_shape_weights(m.I, m.J, m.L), m.p)
 
 
 def moment_at(m: CanonicalMoment, n: int | None = None) -> Fraction:
@@ -257,7 +260,7 @@ def moment_at(m: CanonicalMoment, n: int | None = None) -> Fraction:
         return Fraction(0)
     if m.p == 0:
         return Fraction(1)
-    return _fold_at(_shape_weights(m.I, m.J, m.Q), n)
+    return _fold_at(_shape_weights(m.I, m.J, m.L), n)
 
 
 def evaluate(q: MomentQuery, symbolic: bool = False):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from haarmoments import weingarten
 from haarmoments.invariants import moment
-from haarmoments.queries import (CanonicalMoment, MomentQuery, alignments,
-                                 canonicalize)
+from haarmoments.queries import (CanonicalMoment, MomentQuery, _first_fit,
+                                 alignments, canonicalize)
 from haarmoments.stabilizer import CosetReps, YoungSubgroup
 from haarmoments.weingarten import PAIR_CAP
 
@@ -97,15 +97,16 @@ def test_canonical_form_simple():
     m = canonicalize(q)
     assert not m.zero
     assert m.n == 3 and m.p == 1 and m.I == (1,) and m.J == (1,)
-    assert m.Q == (0,)
+    assert m.L == (1,)
 
 
 def test_canonical_q_aligns_columns():
-    # <(1,2),(1,2)|(1,2),(2,1)>: plain pair a=0 is (1,2)->cols L=(2,1)
+    # <(1,2),(1,2)|(1,2),(2,1)>: plain pair a=0 is (1,2)->cols L=(2,1),
+    # which J = (1, 2) takes in the order Q = (1, 0)
     q = MomentQuery.make(2, (1, 2), (1, 2), (1, 2), (2, 1))
     m = canonicalize(q)
     assert not m.zero
-    assert m.Q == (1, 0)
+    assert m.L == (2, 1) and m.Q == (1, 0)
 
 
 def test_alignments_enumerates_all_valid_pairs():
@@ -127,8 +128,8 @@ def test_normal_form_numbers_rows_then_columns_by_first_appearance():
     # (5, 6 in row 1, then 7), and both pair lists come out sorted
     m = canonicalize(MomentQuery.make(7, (2, 1, 2), (5, 7, 6),
                                       (1, 2, 2), (6, 5, 7)))
-    assert (m.n, m.p, m.I, m.J, m.Q) == (7, 3, (1, 1, 2), (1, 2, 3),
-                                         (0, 2, 1))
+    assert (m.n, m.p, m.I, m.J, m.L) == (7, 3, (1, 1, 2), (1, 2, 3),
+                                         (1, 3, 2))
 
 
 def test_normal_form_transposes_when_the_columns_repeat_more():
@@ -136,7 +137,7 @@ def test_normal_form_transposes_when_the_columns_repeat_more():
     # and the plain pairs are transposed with the conjugated ones
     q = MomentQuery.make(3, (1, 2, 3), (1, 1, 2), (1, 2, 3), (1, 2, 1))
     m = canonicalize(q)
-    assert (m.I, m.J, m.Q) == ((1, 1, 2), (1, 2, 3), (0, 2, 1))
+    assert (m.I, m.J, m.L) == ((1, 1, 2), (1, 2, 3), (1, 3, 2))
     transposed = MomentQuery.make(3, q.J, q.I, q.L, q.K)
     assert canonicalize(transposed) == m
 
@@ -150,8 +151,8 @@ def test_normal_form_puts_the_larger_stabilizer_first():
 
 def test_zero_marker_is_stable_under_rewrites():
     m = canonicalize(MomentQuery.make(2, (1,), (1,), (2,), (1,)))
-    assert m.zero and (m.I, m.J, m.Q) == ((), (), ())
-    assert CanonicalMoment(m.n, m.p, m.I, m.J, m.Q, m.zero) == m
+    assert m.zero and (m.I, m.J, m.L) == ((), (), ())
+    assert CanonicalMoment(m.n, m.p, m.I, m.J, m.L, m.zero) == m
 
 
 def _order(values) -> int:
@@ -189,17 +190,19 @@ def _value(I, J, Q):
 def test_normal_form_property(queries):
     q, renamed = queries
     form = canonicalize(q)
-    assert _value(form.I, form.J, form.Q) == _value(q.I, q.J,
-                                                    _first_fit_alignment(q))
+    assert _value(form.I, form.J, _first_fit(form.J, form.L)) == _value(
+        q.I, q.J, _first_fit_alignment(q))
     again = canonicalize(renamed)
-    assert (again.I, again.J, again.Q) == (form.I, form.J, form.Q)
+    assert (again.I, again.J, again.L) == (form.I, form.J, form.L)
     if _order(q.I) != _order(q.J):
         transposed = MomentQuery.make(q.n, q.J, q.I, q.L, q.K)
         assert canonicalize(transposed) == form
     if form.p <= 4:
-        # the constructor gives the same form from every alignment
+        # the constructor gives the same form from every alignment, its
+        # plain columns carried onto the rows I as L = J∘Q
         for _, Q in alignments(q):
-            assert CanonicalMoment(q.n, form.p, q.I, q.J, Q) == form
+            L = tuple(q.J[b] for b in Q)
+            assert CanonicalMoment(q.n, form.p, q.I, q.J, L) == form
 
 
 @st.composite
@@ -220,15 +223,15 @@ def test_every_canonical_moment_is_its_own_normal_form(triple):
     # again from the form's own fields, or unpickling it, changes nothing
     I, J, Q = triple
     p = len(I)
-    m = CanonicalMoment(2 * p, p, I, J, Q)
-    q = MomentQuery.make(2 * p, I, J, I, [J[b] for b in Q])
+    L = tuple(J[b] for b in Q)
+    m = CanonicalMoment(2 * p, p, I, J, L)
+    q = MomentQuery.make(2 * p, I, J, I, L)
     assert canonicalize(q) == m
-    assert CanonicalMoment(m.n, m.p, m.I, m.J, m.Q) == m
+    assert CanonicalMoment(m.n, m.p, m.I, m.J, m.L) == m
     assert pickle.loads(pickle.dumps(m)) == m
     assert set(m.I) == set(range(1, max(m.I) + 1))
     assert set(m.J) == set(range(1, max(m.J) + 1))
-    conj = list(zip(m.I, m.J))
-    plain = [(i, m.J[b]) for i, b in zip(m.I, m.Q)]
+    conj, plain = list(zip(m.I, m.J)), list(zip(m.I, m.L))
     assert conj == sorted(conj) and plain == sorted(plain)
     assert _order(m.I) >= _order(m.J)
 
@@ -280,7 +283,8 @@ def _first_fit_canonicalize(q: MomentQuery) -> CanonicalMoment:
     if (len(q.K) != p or Counter(q.K) != Counter(q.I)
             or Counter(q.L) != Counter(q.J)):
         return CanonicalMoment(q.n, p, (), (), (), zero=True)
-    return CanonicalMoment(q.n, p, q.I, q.J, _first_fit_alignment(q))
+    L = tuple(q.J[b] for b in _first_fit_alignment(q))
+    return CanonicalMoment(q.n, p, q.I, q.J, L)
 
 
 @st.composite
@@ -333,7 +337,7 @@ def test_canonicalize_large_degree_is_fast_and_still_refused():
     # the form sorts both pair lists: conjugated (1,1)^k (2,2)^k, plain
     # (1,2)^k (2,1)^k
     assert m.I == m.J == (1,) * k + (2,) * k
-    assert m.Q == tuple(range(k, 2 * k)) + tuple(range(k))
+    assert m.L == (2,) * k + (1,) * k
     with pytest.raises(ValueError, match=rf"\(cap {PAIR_CAP}\)"):
         moment(q)
 
@@ -345,8 +349,8 @@ def test_canonicalize_large_degree_is_fast_and_still_refused():
 _RECORDS = [
     (MomentQuery, ("n", "I", "J", "K", "L"),
      (3, (1, 2), (1, 2), (2, 1), (2, 1))),
-    (CanonicalMoment, ("n", "p", "I", "J", "Q", "zero"),
-     (3, 2, (1, 2), (1, 2), (1, 0), False)),
+    (CanonicalMoment, ("n", "p", "I", "J", "L", "zero"),
+     (3, 2, (1, 2), (1, 2), (2, 1), False)),
     (YoungSubgroup, ("degree", "blocks"), (3, ((0, 2), (1,)))),
     (CosetReps, ("degree", "blocks"), (3, (((0,), (2,)), ((1,),)))),
 ]
@@ -378,7 +382,16 @@ def test_records_are_immutable_values(cls, fields, values):
 
 
 def test_canonical_moment_is_nonzero_by_default():
-    m = CanonicalMoment(2, 1, (1,), (1,), (0,))
-    assert m.zero is False and m == CanonicalMoment(2, 1, (1,), (1,), (0,),
+    m = CanonicalMoment(2, 1, (1,), (1,), (1,))
+    assert m.zero is False and m == CanonicalMoment(2, 1, (1,), (1,), (1,),
                                                     False)
-    assert m != CanonicalMoment(2, 1, (1,), (1,), (0,), zero=True)
+    assert m != CanonicalMoment(2, 1, (1,), (1,), (1,), zero=True)
+
+
+@pytest.mark.parametrize("L", [(1, 1), (1, 3), (2, 1, 2)])
+def test_constructor_refuses_a_malformed_triple(L):
+    # L must be a rearrangement of J with p entries; without the check,
+    # (2, 1, 2) would be read as the moment -1/24 at n = 3
+    with pytest.raises(ValueError, match="rearrangement of J"):
+        CanonicalMoment(3, 2, (1, 2), (1, 2), L)
+    assert CanonicalMoment(3, 2, (), (), (), zero=True).zero

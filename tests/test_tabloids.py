@@ -23,9 +23,8 @@ from haarmoments.queries import CanonicalMoment
 def _pairs(I, J, Q):
     """The kernel's inputs, as ``_tabloids.shape_weights`` reads them off
     the normal form of <I,J | I,J_Q>."""
-    m = CanonicalMoment(len(I), len(I), I, J, Q)
-    conj = list(zip(m.I, m.J))
-    plain = [(i, m.J[b]) for i, b in zip(m.I, m.Q)]
+    m = CanonicalMoment(len(I), len(I), I, J, tuple(J[b] for b in Q))
+    conj, plain = list(zip(m.I, m.J)), list(zip(m.I, m.L))
     shapes = _tabloids._shape(m.I), _tabloids._shape(m.J)
     return conj, plain, m.I[-1], shapes
 

@@ -386,7 +386,7 @@ def test_fold_builds_terms_only_for_the_support():
     m = canonicalize(invariants.fan_query((1,) * 24))
     got = weingarten.moment_symbolic(m)
     assert got == invariants.fan((1,) * 24)
-    assert list(weingarten._shape_weights(m.I, m.J, m.Q)) == [(24,)]
+    assert list(weingarten._shape_weights(m.I, m.J, m.L)) == [(24,)]
     assert weingarten._term.cache_info().currsize == 1
     # the fixed-n fold builds no term
     assert weingarten.moment_at(m, 30) == got.eval_at(30)
@@ -509,14 +509,15 @@ def test_moment_at_accepts_canonical_directly():
 # shape weights by Young's rule (the tabloid route)
 
 def _form(I, J, Q) -> CanonicalMoment:
-    return CanonicalMoment(len(I), len(I), I, J, Q)
+    """The normal form of the aligned triple, plain pairs (I[a], J[Q[a]])."""
+    return CanonicalMoment(len(I), len(I), I, J, tuple(J[b] for b in Q))
 
 
 def _tabloid_weights(I, J, Q):
     """The tabloid route's weights of <I,J | I,J_Q>, read off its normal
     form as the engine hands it over."""
     form = _form(I, J, Q)
-    w = _tabloids.shape_weights(form.I, form.J, form.Q)
+    w = _tabloids.shape_weights(form.I, form.J, form.L)
     assert set(w) <= set(partitions_of(len(I)))
     return w
 
@@ -539,7 +540,7 @@ def _route(I, J, Q):
             mock.patch.object(weingarten, "_enumerate",
                               _taking("compositions")):
         try:
-            weingarten._shape_weights.__wrapped__(form.I, form.J, form.Q)
+            weingarten._shape_weights.__wrapped__(form.I, form.J, form.L)
         except _Took as took:
             return took.args[0]
         except ValueError as refused:
@@ -562,7 +563,7 @@ def _weight_triples(draw):
 @given(_weight_triples())
 def test_tabloid_route_matches_enumeration_property(triple):
     I, J, Q = triple
-    coset = weingarten._double_coset(I, J, Q)
+    coset = weingarten._double_coset(I, J, [J[b] for b in Q])
     _, GJ, reps = coset
     compositions = reps.order * GJ.order
     tabloids = _tabloids.cost(_tabloids._shape(I), _tabloids._shape(J))
@@ -579,7 +580,7 @@ def test_shape_weights_of_the_normal_form_property(triple):
     # each route, forced, gives on the normal form the weights that the
     # class counts of the raw aligned form give
     I, J, Q = triple
-    GI, GJ, reps = weingarten._double_coset(I, J, Q)
+    GI, GJ, reps = weingarten._double_coset(I, J, [J[b] for b in Q])
     assume(GI.order * GJ.order <= weingarten.PAIR_CAP
            and reps.order * GJ.order <= 50000
            and _tabloids.cost(_tabloids._shape(I), _tabloids._shape(J))
@@ -590,7 +591,31 @@ def test_shape_weights_of_the_normal_form_property(triple):
                             ("compositions", weingarten.PAIR_CAP + 1)):
         with mock.patch.object(_tabloids, "cost", lambda a, b: estimate):
             assert weingarten._shape_weights.__wrapped__(
-                form.I, form.J, form.Q) == want, route
+                form.I, form.J, form.L) == want, route
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_weight_triples())
+def test_q_accessor_aligns_the_form_property(triple):
+    # perfbench keys its check pass on (m.I, m.J, m.Q) and counts classes
+    # with it: Q must take J onto the form's plain columns L, and its class
+    # counts must give the weights the engine finds from (I, J, L), on
+    # either side of the route choice
+    m = _form(*triple)
+    Q = m.Q
+    assert sorted(Q) == list(range(m.p))
+    assert tuple(m.J[b] for b in Q) == m.L
+    GI, GJ, reps = weingarten._double_coset(m.I, m.J, m.L)
+    assume(GI.order * GJ.order <= weingarten.PAIR_CAP
+           and reps.order * GJ.order <= 50000
+           and _tabloids.cost(_tabloids._shape(m.I), _tabloids._shape(m.J))
+           <= 500000)
+    want = weingarten._weights(weingarten.class_counts(m.I, m.J, Q))
+    for route, estimate in (("tabloids", 0),
+                            ("compositions", weingarten.PAIR_CAP + 1)):
+        with mock.patch.object(_tabloids, "cost", lambda a, b: estimate):
+            assert weingarten._shape_weights.__wrapped__(
+                m.I, m.J, m.L) == want, route
 
 
 def test_tabloid_route_matches_enumeration_on_heavy_shapes():
@@ -686,7 +711,7 @@ def test_route_choice_by_cost(monkeypatch):
     weingarten._shape_weights.cache_clear()
     monkeypatch.setattr(weingarten, "_enumerate", refuse)
     form = _form(I, J, Q)
-    assert weingarten._shape_weights(form.I, form.J, form.Q) == want
+    assert weingarten._shape_weights(form.I, form.J, form.L) == want
     weingarten._shape_weights.cache_clear()
 
 
