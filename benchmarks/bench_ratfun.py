@@ -33,10 +33,13 @@ filled by an earlier case or run is reused.  The results go to a JSON file
 under a label, one entry per label, so that runs of two commits can share
 one file; a digest of every result (str, and validity_min_n for a rational
 function) is stored too, so the entries can be checked for equal results.
+``--check`` does that check: it exits 1 if two entries of the file give one
+case different digests.
 
 Usage (from the repository root):
   PYTHONPATH=src python3 benchmarks/bench_ratfun.py --label NAME
       [--repeat N] [--out BENCH_ratfun.json]
+  python3 benchmarks/bench_ratfun.py --check [--out BENCH_ratfun.json]
 """
 import argparse
 import hashlib
@@ -152,6 +155,22 @@ def run_case(name: str) -> dict:
             "results_sha256": digest.hexdigest()[:16]}
 
 
+def check(path: Path) -> int:
+    """1 if two entries give one case different digests, else 0."""
+    digests: dict = {}
+    for label, entry in json.loads(path.read_text())["runs"].items():
+        for case in entry["cases"]:
+            digests.setdefault(case["case"], {})[label] = \
+                case["results_sha256"]
+    bad = 0
+    for case, by_label in digests.items():
+        if len(set(by_label.values())) > 1:
+            bad += 1
+            print(f"{case}: digests differ: {by_label}")
+    print(f"{path}: {len(digests)} cases, {bad} with differing digests")
+    return 1 if bad else 0
+
+
 def child(name: str) -> dict:
     out = subprocess.run([sys.executable, __file__, "--case", name],
                          check=True, capture_output=True, text=True).stdout
@@ -164,8 +183,13 @@ def main() -> None:
                     help="name of this run's entry in the output file")
     ap.add_argument("--repeat", type=int, default=7)
     ap.add_argument("--out", default=str(ROOT / "BENCH_ratfun.json"))
+    ap.add_argument("--check", action="store_true",
+                    help="check that the entries of --out agree on every "
+                         "digest, and exit 1 if they do not")
     ap.add_argument("--case", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.check:
+        sys.exit(check(Path(args.out)))
     if args.case is not None:
         print(json.dumps(run_case(args.case)))
         return

@@ -62,6 +62,8 @@ def _format_float(x: float) -> str:
 
 
 _TOO_LONG = "the value has more digits than Python's integer printing limit"
+_TOO_LONG_INPUT = ("an integer in the line has more digits than Python's "
+                   "integer parsing limit")
 
 
 def _refuse_unprintable(q: MomentQuery, symbolic: bool) -> None:
@@ -178,7 +180,7 @@ def _run_batch(args) -> int:
             try:
                 if not line.isascii() and _shown(line) != line:
                     raise ValueError("line does not decode as text")
-                obj = json.loads(line)
+                obj = _loads(line)
                 q = MomentQuery.from_json_obj(obj)
                 symbolic = obj.get("symbolic", False)
                 if not isinstance(symbolic, bool):
@@ -194,6 +196,18 @@ def _run_batch(args) -> int:
                 write(json.dumps({"error": str(e), "input": _shown(line)})
                       + "\n")
     return 1 if failures else 0
+
+
+def _loads(line: str):
+    """json.loads, with the CLI's own message for an integer longer than
+    ``sys.get_int_max_str_digits``: every other error it raises is a
+    JSONDecodeError or a RecursionError."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise ValueError(_TOO_LONG_INPUT) from None
 
 
 def _shown(line: str) -> str:

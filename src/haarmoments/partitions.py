@@ -3,13 +3,16 @@ and dimensions.
 
 Permutations throughout the package are tuples of 0-based images: ``perm[x]``
 is where x goes.  Partitions are weakly decreasing tuples of positive ints.
+Characters and Kostka numbers come from one Schur expansion, which works on
+each shape's bead set, an int mask of its beta-numbers (James and Kerber,
+*The Representation Theory of the Symmetric Group*, 1981, 2.7), and hands
+out tuples.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterator
 
 from .ratfun import Poly, RationalFunction, expand
 
@@ -139,7 +142,7 @@ def dim_unitary_at(shape: Partition, n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# characters and Kostka numbers: Schur expansions, one factor at a time
+# characters and Kostka numbers: Schur expansions on bead sets
 
 def character(shape: Partition, ct: Partition) -> int:
     """Irreducible character of the class ``ct`` in the irrep ``shape``."""
@@ -152,46 +155,89 @@ def character(shape: Partition, ct: Partition) -> int:
 def schur_expansion(kind: str, parts: Partition) -> dict[Partition, int]:
     """{f: c_f} over the c_f != 0 in p_parts = sum c_f s_f (``kind`` "p") or
     h_parts = sum c_f s_f ("h"), ``parts`` a partition: c_f is the character
-    chi_f(parts) or the Kostka number K_{f,parts}.  The largest part is
-    multiplied in last, onto the cached expansion of the others, so products
-    that share their smaller parts share that work.  s_g p_r adds the border
-    strips of r cells to g, with sign (-1)^(rows - 1) (Murnaghan–Nakayama);
-    s_g h_r adds the horizontal strips (Pieri).  The dict is the cached one:
-    read it, do not change it."""
+    chi_f(parts) or the Kostka number K_{f,parts}.  The work is done on bead
+    sets by ``_expansion``; each distinct bead set of the answer becomes a
+    tuple once.  The dict is the cached one: read it, do not change it."""
+    return {_shape(f): c for f, c in _expansion(kind, parts).items()}
+
+
+@lru_cache(maxsize=None)
+def _expansion(kind: str, parts: Partition) -> dict[int, int]:
+    """``schur_expansion`` with each shape as its bead mask.  The largest
+    part is multiplied in last, onto the cached expansion of the others, so
+    products that share their smaller parts, in any degree, share that
+    work.  s_g p_r adds the border strips of r cells to g, with sign
+    (-1)^(rows - 1) (Murnaghan–Nakayama); s_g h_r adds the horizontal strips
+    (Pieri)."""
     if not parts:
-        return {(): 1}
-    strips = _border_strips if kind == "p" else _horizontal_strips
-    out: dict[Partition, int] = {}
-    for g, c in schur_expansion(kind, parts[1:]).items():
-        for f, sign in strips(g, parts[0]):
+        return {0: 1}
+    moves = _border_moves if kind == "p" else _horizontal_moves
+    r = parts[0]
+    out: dict[int, int] = {}
+    for g, c in _expansion(kind, parts[1:]).items():
+        for f, sign in moves(g, r):
             out[f] = out.get(f, 0) + sign * c
     return {f: c for f, c in out.items() if c}
 
 
-def _border_strips(shape: Partition, r: int) -> Iterator[tuple[Partition, int]]:
-    """(f, sign) for each border strip f/shape of r cells: on the
-    beta-numbers of ``shape`` padded with r zero rows, the one of row i
-    moves up by r past those of rows j..i-1, with sign (-1)^(i-j)."""
-    padded = shape + (0,) * r
-    beta = [x - i for i, x in enumerate(padded)]
-    taken = set(beta)
-    for i, b in enumerate(beta):
-        if b + r not in taken:
-            j = sum(x > b + r for x in beta)
-            f = (padded[:j] + (padded[i] + r - i + j,)
-                 + tuple(x + 1 for x in padded[j:i]) + padded[i + 1:])
-            yield f[:len(f) - f.count(0)], (-1) ** (i - j)
+# A shape is held as the bead set of its beta-numbers on James and Kerber's
+# abacus, one bit per place: with as many beads as rows, row i (from the
+# top) has a bead with as many free places below it as its length.  Bit 0 of
+# a nonempty shape is free and () is 0, so the mask does not depend on the
+# degree.  A zero row below the others is a bead at place 0 with every other
+# bead moved up one, (g << 1) | 1; the moves pad g with the zero rows that
+# the strip can fill and shift them out again.
+
+@lru_cache(maxsize=None)
+def _border_moves(g: int, r: int) -> list[tuple[int, int]]:
+    """(f, sign) for each border strip f/g of r cells: on g padded with r
+    zero rows, one bead moves up r places onto a free place, and the sign is
+    the parity of the beads it jumps."""
+    beads = (g << r) | ((1 << r) - 1)
+    out = []
+    movable = beads & ~(beads >> r)
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        jumped = beads & ((bead << r) - (bead << 1))
+        f = beads ^ bead ^ (bead << r)
+        out.append((f >> min(bead.bit_length() - 1, r),
+                    -1 if jumped.bit_count() & 1 else 1))
+    return out
 
 
-def _horizontal_strips(shape: Partition,
-                       r: int) -> Iterator[tuple[Partition, int]]:
-    """(f, 1) for each horizontal strip f/shape of r cells: below the first
-    row, which takes the rest, shape[i-1] >= f[i] >= shape[i]."""
-    padded = shape + (0,)
-    grown: list[tuple[Partition, int]] = [((), r)]
-    for above, row in zip(padded, padded[1:]):
-        grown = [(rows + (row + a,), left - a) for rows, left in grown
-                 for a in range(min(above - row, left) + 1)]
-    for rows, left in grown:
-        f = (padded[0] + left,) + rows
-        yield f[:len(f) - f.count(0)], 1
+@lru_cache(maxsize=None)
+def _horizontal_moves(g: int, r: int) -> list[tuple[int, int]]:
+    """(f, 1) for each horizontal strip f/g of r cells: on g padded with one
+    zero row, the beads move up r places in all, none reaching the old place
+    of the bead above it; the top bead takes the rest."""
+    beads = (g << 1) | 1
+    top = 1 << (beads.bit_length() - 1)
+    grown = [(beads, r)]
+    above, rest = top, beads ^ top
+    while rest:
+        bead = 1 << (rest.bit_length() - 1)
+        rest ^= bead
+        room = above.bit_length() - bead.bit_length() - 1
+        grown = [(m ^ bead ^ (bead << a), left - a) for m, left in grown
+                 for a in range(min(room, left) + 1)]
+        above = bead
+    out = []
+    for m, left in grown:
+        m ^= top ^ (top << left)
+        out.append((m >> (m & 1), 1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _shape(mask: int) -> Partition:
+    """The partition of a bead mask: each bead's count of free places
+    below it, top bead first."""
+    free = mask.bit_length() - mask.bit_count()
+    out = []
+    for bit in bin(mask)[2:]:
+        if bit == "1":
+            out.append(free)
+        else:
+            free -= 1
+    return tuple(out)

@@ -1,9 +1,11 @@
 """Command-line interface: output formats, methods, batch mode, exit codes."""
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -197,6 +199,8 @@ def test_batch_mode_reports_bad_lines(tmp_path, capsys):
         '{"n": 2.9, "I": [1], "J": [1], "K": [1], "L": [1]}',
         '{"n": true, "I": [1], "J": [1], "K": [1], "L": [1]}',
         '{"n": "3", "I": [1], "J": [1], "K": [1], "L": [1]}',
+        '{"n": ' + "9" * 5000 + ', "I": [1], "J": [1], "K": [1], "L": [1]}',
+        '{"n": 2, "I": [1, ' + "9" * 5000 + '], "J": [1], "K": [1], "L": [1]}',
         '{"I": [1], "J": [2], "K": [1], "L": [2], "symbolic": "false"}',
         '{"I": [1], "J": [2], "K": [1], "L": [2], "symbolic": 1}',
         '{"I": [1], "J": [2], "K": [1], "L": [2], "method": "nope"}',
@@ -220,6 +224,73 @@ def test_batch_mode_reports_bad_lines(tmp_path, capsys):
     assert "method must be one of" in docs[-2]["error"]
     assert docs[-6]["error"] == docs[-4]["error"] == \
         "symbolic must be true or false"
+    too_long = ("an integer in the line has more digits than Python's "
+                "integer parsing limit")
+    assert docs[-10]["error"] == docs[-8]["error"] == too_long
+
+
+_VALID_LINES = [
+    {"n": 3, "I": [1], "J": [2], "K": [1], "L": [2]},
+    {"I": [1, 2], "J": [1, 2], "K": [1, 2], "L": [2, 1], "symbolic": True},
+    {"n": 4, "I": [1, 1, 2], "J": [1, 2, 3], "K": [2, 1, 1],
+     "L": [3, 1, 2], "method": "group"},
+    {"n": 2, "I": [1, 2, 3, 1], "J": [1, 2, 3, 3], "K": [1, 2, 3, 1],
+     "L": [3, 2, 1, 3]},
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from("nIJKL") | st.text(max_size=3), inner,
+                      max_size=5),
+    max_leaves=12)
+# a valid line with some fields replaced or dropped
+_DROP = object()
+_MUTATED = st.builds(
+    lambda base, edits: {k: v for k, v in {**base, **edits}.items()
+                         if v is not _DROP},
+    st.sampled_from(_VALID_LINES),
+    st.dictionaries(
+        st.sampled_from(("n", "I", "J", "K", "L", "symbolic", "method")),
+        st.just(_DROP)
+        | st.lists(st.integers(-2, 6), max_size=6)
+        | st.integers(-3, 10 ** 400) | st.sampled_from(
+            [True, False, 0, 1.5, "group", "auto", "invariant", "nope"])
+        | _JSON_VALUES,
+        max_size=3))
+_LINES = (st.binary(min_size=1, max_size=30).map(
+              lambda b: b.replace(b"\n", b" ").replace(b"\r", b" "))
+          | _JSON_VALUES.map(lambda v: json.dumps(v).encode())
+          | _MUTATED.map(lambda v: json.dumps(v).encode()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.lists(_LINES, min_size=1, max_size=6))
+def test_batch_answers_every_line_with_one_json_object(lines):
+    # blank lines are skipped; every other line gives one result or one
+    # {"error", "input"} line, never a traceback, and the exit code is 1
+    # exactly when some line failed
+    shown = [raw.decode("utf-8", "replace").strip() for raw in lines]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "queries.jsonl"
+        path.write_bytes(b"".join(raw + b"\n" for raw in lines))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["moment", "--batch", str(path)])
+    assert err.getvalue() == ""
+    docs = [json.loads(line) for line in out.getvalue().splitlines()]
+    expected = [text for text in shown if text]
+    assert len(docs) == len(expected)
+    failed = False
+    for doc, text in zip(docs, expected):
+        assert isinstance(doc, dict)
+        if "error" in doc:
+            assert doc.keys() == {"error", "input"} and doc["input"] == text
+            assert isinstance(doc["error"], str) and doc["error"]
+            failed = True
+        else:
+            assert {"query", "method", "value"} <= doc.keys()
+    assert code == (1 if failed else 0)
 
 
 def test_batch_lines_with_n_below_one_are_refused(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Partitions, hook lengths, symmetric-group characters, dimensions."""
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -139,6 +140,74 @@ def test_characters_at_p20():
     assert schur_expansion("p", (p,)) == hooks
     assert character((p - 3, 1, 1, 1), (p,)) == -1
     assert character((p - 2, 2), (p,)) == 0
+
+
+def _border_strips(shape, r):
+    """Reference on tuples: (f, sign) for each border strip f/shape of r
+    cells.  On the beta-numbers of ``shape`` padded with r zero rows, the
+    one of row i moves up by r past those of rows j..i-1, with sign
+    (-1)^(i-j)."""
+    padded = shape + (0,) * r
+    beta = [x - i for i, x in enumerate(padded)]
+    taken = set(beta)
+    for i, b in enumerate(beta):
+        if b + r not in taken:
+            j = sum(x > b + r for x in beta)
+            f = (padded[:j] + (padded[i] + r - i + j,)
+                 + tuple(x + 1 for x in padded[j:i]) + padded[i + 1:])
+            yield f[:len(f) - f.count(0)], (-1) ** (i - j)
+
+
+def _horizontal_strips(shape, r):
+    """Reference on tuples: (f, 1) for each horizontal strip f/shape of r
+    cells: below the first row, which takes the rest,
+    shape[i-1] >= f[i] >= shape[i]."""
+    padded = shape + (0,)
+    grown = [((), r)]
+    for above, row in zip(padded, padded[1:]):
+        grown = [(rows + (row + a,), left - a) for rows, left in grown
+                 for a in range(min(above - row, left) + 1)]
+    for rows, left in grown:
+        f = (padded[0] + left,) + rows
+        yield f[:len(f) - f.count(0)], 1
+
+
+@lru_cache(maxsize=None)
+def _reference_expansion(kind, parts):
+    """schur_expansion by the tuple strips above, largest part last."""
+    if not parts:
+        return {(): 1}
+    strips = _border_strips if kind == "p" else _horizontal_strips
+    out = {}
+    for g, c in _reference_expansion(kind, parts[1:]).items():
+        for f, sign in strips(g, parts[0]):
+            out[f] = out.get(f, 0) + sign * c
+    return {f: c for f, c in out.items() if c}
+
+
+def test_schur_expansion_matches_the_tuple_strips():
+    for p in range(13):
+        for parts in partitions_of(p):
+            for kind in "ph":
+                assert schur_expansion(kind, parts) \
+                    == _reference_expansion(kind, parts), (kind, parts)
+    for parts in [(1,) * 20, (20,), (6, 5, 4, 2, 2, 1), (3,) * 4 + (1,) * 8,
+                  (1,) * 24, (24,), (7, 5, 3, 3, 2, 1, 1, 1, 1),
+                  (2,) * 12]:
+        for kind in "ph":
+            assert schur_expansion(kind, parts) \
+                == _reference_expansion(kind, parts), (kind, parts)
+
+
+@pytest.mark.parametrize("p", [8, 9, 10])
+def test_character_column_orthogonality(p):
+    # sum_f chi_f(c) chi_f(c') = z_c [c = c'], z_c = p! / |class of c|
+    shapes = partitions_of(p)
+    columns = {c: [character(f, c) for f in shapes] for c in shapes}
+    for c in shapes:
+        for d in shapes:
+            inner = sum(x * y for x, y in zip(columns[c], columns[d]))
+            assert inner == (factorial(p) // class_size(c) if c == d else 0)
 
 
 def test_dim_unitary_closed_forms():
