@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Timing of the stabilizer-sum counting, and of the engine's shape weights.
 
-Two kinds of case:
+Three kinds of case:
 
 * ``cases``: the public ``weingarten.class_counts`` on six fixed cases, the
   enumeration of the double coset: the coset representatives, the
@@ -21,31 +21,18 @@ Two kinds of case:
   nu that dominate both block shapes, but the last.  This is the unit of
   ``_tabloids.TABLOID_WEIGHT``.
 
-Each case runs cold in a fresh interpreter, so no cache filled by an earlier
-case is reused.  Every case is run ``--repeat`` times.  The results go to a
-JSON file under a label, one entry per label, so that runs of two commits
-can share one file; digests of the class counts and of the shape weights
-are stored too, so the entries can be checked for equal results.
-``--check`` does that check: it exits 1 if two entries of the file give one
-case different digests.
-
-Usage (from the repository root):
-  PYTHONPATH=src python3 benchmarks/bench_counting.py --label NAME
-      [--repeat N] [--out BENCH_counting.json]
-  python3 benchmarks/bench_counting.py --check [--out BENCH_counting.json]
+Each case runs cold in a fresh interpreter, ``--repeat`` times, so no cache
+filled by an earlier case is reused.  The digests are of the class counts
+and of the shape weights.
 """
 import argparse
-import hashlib
 import json
-import os
-import platform
-import re
 import statistics
-import subprocess
 import sys
 import time
 from math import factorial, prod
-from pathlib import Path
+
+import _bench
 
 CASES = [
     ("single column p=4", (1,) * 4, (1,) * 4, (1, 2, 3, 0)),
@@ -98,10 +85,6 @@ WEIGHT_CASES = CASES + [
 ]
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()[:16]
-
-
 def _compositions(I, J, Q) -> tuple[int, int]:
     from haarmoments.stabilizer import stabilizer
     GI, GJ = stabilizer(I), stabilizer(J)
@@ -122,8 +105,8 @@ def run_case(index: int) -> dict:
         "seconds": seconds,
         "pairs": pairs,
         "compositions": compositions,
-        "counts_sha256": _digest(sorted([list(ct), c]
-                                        for ct, c in counts.items())),
+        "counts_sha256": _bench.digest(sorted([list(ct), c]
+                                              for ct, c in counts.items())),
     }
 
 
@@ -150,25 +133,22 @@ def run_weights(index: int) -> dict:
     weingarten.moment_symbolic(m)
     total = time.perf_counter() - start
     [(seconds, weights)] = calls
-    if isinstance(weights, dict):
-        # the nonzero weights {f: w_f}, digested as the dense tuple in
-        # partitions_of(p) order that earlier commits return
-        weights = [weights.get(f, 0) for f in partitions_of(len(I))]
+    # the nonzero weights {f: w_f}, digested as the dense tuple in
+    # partitions_of(p) order that earlier commits return
+    weights = [weights.get(f, 0) for f in partitions_of(len(I))]
     pairs, compositions = _compositions(I, J, Q)
     return {"seconds": seconds, "moment_symbolic_s": total, "pairs": pairs,
-            "compositions": compositions, "weights_sha256": _digest(weights)}
+            "compositions": compositions,
+            "weights_sha256": _bench.digest(weights)}
 
 
 def _heavy_keys() -> list[tuple]:
     """The batch-heavy keys of seed 3, canonicalized: the fields (I, J, L)
     of the normal form, which the engine keys its shape weights on."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent
-                           / "perfbench"))
-    import corpus
     from haarmoments.queries import MomentQuery, canonicalize
 
     keys = []
-    for line in corpus.generate("batch-heavy", 3).exact[1:]:
+    for line in _bench.corpus("batch-heavy", 3).exact[1:]:
         q = MomentQuery.from_json_obj(
             {k: v for k, v in line.items() if k != "kind"})
         m = canonicalize(q)
@@ -202,16 +182,15 @@ def run_warm(passes: int = 5) -> dict:
         out.append({"I": I, "J": J, "L": L, "shapes": [mu_I, mu_J],
                     "tabloids": tabloids, "seconds": best([(I, J, L)])})
     return {"seconds": best(keys), "keys": out,
-            "weights_sha256": _digest([sorted([list(f), c]
-                                              for f, c in w.items())
-                                       for w in weights])}
+            "weights_sha256": _bench.digest([sorted([list(f), c]
+                                                    for f, c in w.items())
+                                             for w in weights])}
 
 
 def measure_warm(repeat: int) -> dict:
     """The median over ``repeat`` fresh processes of run_warm's times."""
-    runs = [child("--warm", 0) for _ in range(repeat)]
-    if any(r["weights_sha256"] != runs[0]["weights_sha256"] for r in runs):
-        sys.exit("results differ between runs of warm_heavy")
+    runs = _bench.repeated(lambda: _bench.child(__file__, "--case", "warm", 0),
+                           repeat, "weights_sha256", "warm_heavy")
     keys = []
     for index, key in enumerate(runs[0]["keys"]):
         seconds = statistics.median(r["keys"][index]["seconds"]
@@ -230,107 +209,65 @@ def measure_warm(repeat: int) -> dict:
             "keys": keys, "weights_sha256": runs[0]["weights_sha256"]}
 
 
-def check(path: Path) -> int:
-    """1 if two entries give one case different digests, else 0."""
-    digests: dict = {}
-    for label, entry in json.loads(path.read_text())["runs"].items():
-        for kind, key in (("cases", "counts_sha256"),
-                          ("shape_weights", "weights_sha256")):
-            for case in entry.get(kind, []):
-                digests.setdefault((kind, case["case"]), {})[label] = \
-                    case[key]
-        if "warm_heavy" in entry:
-            digests.setdefault(("warm_heavy", "25 batch-heavy keys"), {})[
-                label] = entry["warm_heavy"]["weights_sha256"]
-    bad = 0
-    for (kind, case), by_label in digests.items():
-        if len(set(by_label.values())) > 1:
-            bad += 1
-            print(f"{kind} {case}: digests differ: {by_label}")
-    print(f"{path}: {len(digests)} cases, {bad} with differing digests")
-    return 1 if bad else 0
-
-
-def child(kind: str, index: int) -> dict:
-    out = subprocess.run([sys.executable, __file__, kind, str(index)],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
-
-
 def measure(kind: str, table, repeat: int, digest: str) -> list[dict]:
     cases = []
     for index, (name, I, J, Q) in enumerate(table):
-        runs = [child(kind, index) for _ in range(repeat)]
-        if any(r[digest] != runs[0][digest] for r in runs):
-            sys.exit(f"results differ between runs of {name}")
+        runs = _bench.repeated(
+            lambda: _bench.child(__file__, "--case", kind, index),
+            repeat, digest, name)
         seconds = [r["seconds"] for r in runs]
         case = {"case": name, "I": I, "J": J, "Q": Q,
                 "pairs": runs[0]["pairs"],
                 "compositions": runs[0]["compositions"],
                 "median_s": statistics.median(seconds),
                 "seconds": seconds}
-        if kind == "--weights":
+        if kind == "weights":
             case["moment_symbolic_median_s"] = statistics.median(
                 r["moment_symbolic_s"] for r in runs)
         case[digest] = runs[0][digest]
         cases.append(case)
-        print(f"{kind[2:]:8} {name:24} {case['compositions']:>11,} "
+        print(f"{kind:8} {name:24} {case['compositions']:>11,} "
               f"compositions {case['median_s']:9.4f} s")
     return cases
 
 
+def digests_of(entry: dict):
+    for kind, key in (("cases", "counts_sha256"),
+                      ("shape_weights", "weights_sha256")):
+        for case in entry.get(kind, []):
+            yield f"{kind} {case['case']}", case[key]
+    if "warm_heavy" in entry:
+        yield ("warm_heavy 25 batch-heavy keys",
+               entry["warm_heavy"]["weights_sha256"])
+
+
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", default="current",
-                    help="name of this run's entry in the output file")
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
-                                         / "BENCH_counting.json"))
-    ap.add_argument("--case", type=int, help=argparse.SUPPRESS)
-    ap.add_argument("--check", action="store_true",
-                    help="check that the entries of --out agree on every "
-                         "digest, and exit 1 if they do not")
-    ap.add_argument("--weights", type=int, help=argparse.SUPPRESS)
-    ap.add_argument("--warm", type=int, help=argparse.SUPPRESS)
+    ap = _bench.parser(__doc__, "BENCH_counting.json", 5)
+    ap.add_argument("--case", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.check:
-        sys.exit(check(Path(args.out)))
-    if args.warm is not None:
-        print(json.dumps(run_warm()))
-        return
+        sys.exit(_bench.check(args.out, digests_of))
     if args.case is not None:
-        print(json.dumps(run_case(args.case)))
-        return
-    if args.weights is not None:
-        print(json.dumps(run_weights(args.weights)))
+        kind, index = args.case
+        run = {"case": run_case, "weights": run_weights,
+               "warm": lambda _: run_warm()}
+        print(json.dumps(run[kind](int(index))))
         return
 
     import numpy
 
-    entry = {
-        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "python": platform.python_version(),
-                 "numpy": numpy.__version__},
+    _bench.write(args.out, (
+        "cold weingarten.class_counts (cases) and cold engine shape weights "
+        "as moment_symbolic asks for them (shape_weights), one fresh process "
+        "per run; warm tabloid-route shape weights on the 25 batch-heavy "
+        "keys of seed 3 (warm_heavy)"), args.label, {
+        "host": _bench.host(numpy=numpy.__version__),
         "repeat": args.repeat,
-        "cases": measure("--case", CASES, args.repeat, "counts_sha256"),
-        "shape_weights": measure("--weights", WEIGHT_CASES, args.repeat,
+        "cases": measure("case", CASES, args.repeat, "counts_sha256"),
+        "shape_weights": measure("weights", WEIGHT_CASES, args.repeat,
                                  "weights_sha256"),
         "warm_heavy": measure_warm(args.repeat),
-    }
-    path = Path(args.out)
-    runs = json.loads(path.read_text())["runs"] if path.exists() else {}
-    runs[args.label] = entry
-    doc = {"what": "cold weingarten.class_counts (cases) and cold engine "
-                   "shape weights as moment_symbolic asks for them "
-                   "(shape_weights), one fresh process per run; warm "
-                   "tabloid-route shape weights on the 25 batch-heavy keys "
-                   "of seed 3 (warm_heavy)",
-           "runs": runs}
-    # one line per list of numbers
-    text = re.sub(r"\[\s+([^][{}]*?)\s+\]",
-                  lambda m: "[" + " ".join(m.group(1).split()) + "]",
-                  json.dumps(doc, indent=1))
-    path.write_text(text + "\n")
+    })
 
 
 if __name__ == "__main__":

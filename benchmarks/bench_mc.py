@@ -4,44 +4,36 @@ thread, for Haar columns and for sphere coordinates.
 
 Haar cases are (n, c): c columns of an n-by-n Haar unitary, drawn by
 ``montecarlo.haar_batch`` in the estimator's chunks, and one estimate of a
-query that reads c columns (a c-cycle of distinct rows and columns).  A
-commit whose ``haar_batch`` takes no ``cols`` draws all n columns, as its
-estimator does.  Sphere cases are (n, k), the shapes of the perfbench
-``mc`` workload: the first k coordinates of a point on the sphere in R^n,
-and one estimate of the monomial with exponent 2 on each of them.  numpy
-squares without calling pow, so three more sphere estimates use the
-workload's exponents 3 and 4 (``SPHERE_POWER_CASES``).  A commit whose
-``_sphere_from_uniforms`` takes no ``coords`` draws all n coordinates, as
-its estimator does.  Each entry records what was drawn.
+query that reads c columns (a c-cycle of distinct rows and columns).
+Sphere cases are (n, k), the shapes of the perfbench ``mc`` workload: the
+first k coordinates of a point on the sphere in R^n, and one estimate of
+the monomial with exponent 2 on each of them.  numpy squares without
+calling pow, so three more sphere estimates use the workload's exponents 3
+and 4 (``SPHERE_POWER_CASES``).  Each entry records what was drawn: entries
+of earlier samplers drew all n columns or coordinates.
 
 Each case runs in a fresh interpreter with the BLAS thread caps set to 1,
-``--repeat`` times.  The results go to a JSON file under a label, one entry
-per label, so that runs of two commits can share one file.  Per case the
-entry holds a digest of the drawn samples, which must agree between runs
-of one commit, and the largest deviation of the drawn samples from a
-reference computed here from the same uniforms: Householder QR with the
-diagonal made real positive for Haar, the full Box-Muller point divided by
-its Euclidean norm for the sphere.  Digests differ between commits whose
-samples differ in rounding; the deviation stays comparable.
-
-Usage (from the repository root):
-  PYTHONPATH=src python3 benchmarks/bench_mc.py --label NAME
-      [--repeat N] [--out BENCH_mc.json]
+``--repeat`` times.  Per case the entry holds a digest of the drawn
+samples, which must agree between runs of one commit, and the largest
+deviation of the drawn samples from a reference computed here from the same
+uniforms: Householder QR with the diagonal made real positive for Haar, the
+full Box-Muller point divided by its Euclidean norm for the sphere.
+Digests differ between commits whose samples differ in rounding, so
+``--check`` does not compare them: it exits 1 if an entry's estimate is
+further than ``mc_tolerance`` from the exact value of ``haarmoments.moment``
+or ``sphere_moment``, and needs the package on ``PYTHONPATH``.
 """
 import argparse
 import hashlib
-import inspect
 import json
-import os
-import platform
-import re
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+
+import _bench
 
 SAMPLES = 16384
 SEED = 2024
@@ -101,12 +93,8 @@ def sphere_reference(n: int, count: int, start: int) -> np.ndarray:
 def haar_drawer(n: int, c: int):
     from haarmoments.montecarlo import haar_batch
 
-    if "cols" in inspect.signature(haar_batch).parameters:
-        def draw(count, start):
-            return haar_batch(n, count, SEED, start, cols=c)
-    else:
-        def draw(count, start):
-            return haar_batch(n, count, SEED, start)
+    def draw(count, start):
+        return haar_batch(n, count, SEED, start, cols=c)
 
     def deviation(x, count, start):
         return np.max(np.abs(x - haar_reference(n, count, start, x.shape[2])))
@@ -116,15 +104,11 @@ def haar_drawer(n: int, c: int):
 def sphere_drawer(n: int, k: int):
     from haarmoments import montecarlo as mc
 
-    if "coords" in inspect.signature(mc._sphere_from_uniforms).parameters:
-        coords = list(range(k))
+    coords = list(range(k))
 
-        def draw(count, start):
-            u = mc._uniform_block(SEED, start, count, 2 * ((n + 1) // 2))
-            return mc._sphere_from_uniforms(u, count, n, coords)
-    else:
-        def draw(count, start):
-            return mc.sphere_batch(n, count, SEED, start)
+    def draw(count, start):
+        u = mc._uniform_block(SEED, start, count, 2 * ((n + 1) // 2))
+        return mc._sphere_from_uniforms(u, count, n, coords)
 
     def deviation(x, count, start):
         ref = sphere_reference(n, count, start)[:, :x.shape[1]]
@@ -180,22 +164,44 @@ def run_estimate_case(kind: str, n: int, what: str) -> dict:
 
 
 def child(step: str, kind: str, n: int, what) -> dict:
-    out = subprocess.run(
-        [sys.executable, __file__, "--case", step, kind, str(n), str(what)],
-        check=True, capture_output=True, text=True,
-        env=dict(os.environ, **SINGLE_THREAD)).stdout
-    return json.loads(out)
+    return _bench.child(__file__, "--case", step, kind, n, what,
+                        env=SINGLE_THREAD)
+
+
+def check(path) -> int:
+    """1 if an estimate of an entry is further than ``mc_tolerance`` from
+    the exact value, else 0."""
+    from haarmoments import MomentQuery, moment, sphere_moment
+    from haarmoments.montecarlo import Estimate, mc_tolerance
+
+    sigmas, bad = [], 0
+    for label, entry in json.loads(Path(path).read_text())["runs"].items():
+        for e in entry["estimates"]:
+            if "exponents" in e:
+                exact = sphere_moment(tuple(e["exponents"]))
+            else:
+                q = MomentQuery.make(e["n"], e["I"], e["J"], e["K"], e["L"])
+                exact = moment(q)[0]
+            est = Estimate(complex(e["mean_re"], e["mean_im"]), e["stderr"],
+                           SAMPLES)
+            dev = abs(est.mean - float(exact))
+            sigmas.append(dev / est.stderr if est.stderr > 0 else 0.0)
+            if not dev < mc_tolerance(est):
+                bad += 1
+                shown = e.get("exponents") or [e[k] for k in "IJKL"]
+                print(f"{label}: n={e['n']} {shown}: {est.mean} is "
+                      f"{sigmas[-1]:.2f} sigmas from {exact}")
+    print(f"{path}: {len(sigmas)} estimates, worst {max(sigmas):.2f} sigmas, "
+          f"{bad} outside the tolerance")
+    return 1 if bad else 0
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", default="current",
-                    help="name of this run's entry in the output file")
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--out", default=str(Path(__file__).resolve().parent.parent
-                                         / "BENCH_mc.json"))
+    ap = _bench.parser(__doc__, "BENCH_mc.json", 5)
     ap.add_argument("--case", nargs=4, help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.check:
+        sys.exit(check(args.out))
     if args.case is not None:
         step, kind, n, what = args.case
         if step == "sample":
@@ -209,10 +215,9 @@ def main() -> None:
     for kind, cases in (("haar", HAAR_SAMPLE_CASES),
                         ("sphere", SPHERE_CASES)):
         for n, c in cases:
-            runs = [child("sample", kind, n, c) for _ in range(args.repeat)]
-            if any(r["samples_sha256"] != runs[0]["samples_sha256"]
-                   for r in runs):
-                sys.exit(f"draws differ between runs of {kind} n={n} c={c}")
+            runs = _bench.repeated(lambda: child("sample", kind, n, c),
+                                   args.repeat, "samples_sha256",
+                                   f"{kind} n={n} c={c}")
             rates = [SAMPLES / r["seconds"] for r in runs]
             samples.append({
                 "kind": kind, "n": n, width[kind]: c,
@@ -252,26 +257,16 @@ def main() -> None:
         print(f"estimate {kind:<6} n={n:<2} c={c:<2}          "
               f"{SAMPLES / statistics.median(seconds):12,.0f} samples/s")
 
-    path = Path(args.out)
-    entries = json.loads(path.read_text())["runs"] if path.exists() else {}
-    doc = {"what": "single-thread sample step and estimate, Haar columns and "
-                   f"sphere coordinates, {SAMPLES} samples, seed {SEED}, one "
-                   "fresh process per run; entries without sphere cases, or "
-                   "without sphere exponents above 2, predate them",
-           "runs": entries}
-    doc["runs"][args.label] = {
-        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "python": platform.python_version(),
-                 "numpy": np.__version__},
+    _bench.write(args.out, (
+        "single-thread sample step and estimate, Haar columns and sphere "
+        f"coordinates, {SAMPLES} samples, seed {SEED}, one fresh process per "
+        "run; entries without sphere cases, or without sphere exponents "
+        "above 2, predate them"), args.label, {
+        "host": _bench.host(numpy=np.__version__),
         "repeat": args.repeat,
         "sample_step": samples,
         "estimates": estimates,
-    }
-    # one line per list of numbers
-    text = re.sub(r"\[\s+([^][{}]*?)\s+\]",
-                  lambda m: "[" + " ".join(m.group(1).split()) + "]",
-                  json.dumps(doc, indent=1))
-    path.write_text(text + "\n")
+    })
 
 
 if __name__ == "__main__":

@@ -24,36 +24,18 @@ Four kinds of case:
   integrals ``xi_symbolic`` of the 24-cycle (24 hooks of 1,575 shapes) and,
   as a control whose characters cover every shape, of 1^20.
 
-A commit whose folds read dense tuples in ``partitions_of(p)`` order (it has
-``weingarten._shape_terms``) takes its weights as ``_weights(counts, p)``
-and the degree as an argument of ``_fold_at``.
-
 Each case runs cold in a fresh interpreter, ``--repeat`` times, so no cache
-filled by an earlier case or run is reused.  The results go to a JSON file
-under a label, one entry per label, so that runs of two commits can share
-one file; a digest of every result (str, and validity_min_n for a rational
-function) is stored too, so the entries can be checked for equal results.
-``--check`` does that check: it exits 1 if two entries of the file give one
-case different digests.
-
-Usage (from the repository root):
-  PYTHONPATH=src python3 benchmarks/bench_ratfun.py --label NAME
-      [--repeat N] [--out BENCH_ratfun.json]
-  python3 benchmarks/bench_ratfun.py --check [--out BENCH_ratfun.json]
+filled by an earlier case or run is reused.  The digest is of every result:
+its str, and validity_min_n for a rational function.
 """
 import argparse
-import hashlib
 import json
-import os
-import platform
-import re
 import statistics
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import _bench
+
 CORPUS_SEED = 3
 CASES = (["catalog"] + [f"fold p={p}" for p in range(7, 12)]
          + [f"fold at n p={p}" for p in range(7, 10)]
@@ -79,18 +61,17 @@ def catalog_calls() -> list:
 
 def fold_inputs(workload: str, p: int) -> list:
     """(class counts, n) of the corpus queries of degree p."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import corpus
     from haarmoments import weingarten
-    from haarmoments.queries import MomentQuery, canonicalize
+    from haarmoments.queries import MomentQuery, _first_fit, canonicalize
 
     out = []
-    for obj in corpus.generate(workload, CORPUS_SEED).exact[1:]:
+    for obj in _bench.corpus(workload, CORPUS_SEED).exact[1:]:
         q = MomentQuery.from_json_obj(
             {k: v for k, v in obj.items() if k in "nIJKL"})
         m = canonicalize(q)
         if m.p == p:
-            out.append((weingarten.class_counts(m.I, m.J, m.Q), q.n))
+            Q = _first_fit(m.J, m.L)
+            out.append((weingarten.class_counts(m.I, m.J, Q), q.n))
     return out
 
 
@@ -98,12 +79,6 @@ def folder(at_n: bool, p: int):
     """The fold of one query's class counts, at its n or symbolic."""
     from haarmoments import weingarten
 
-    if hasattr(weingarten, "_shape_terms"):
-        if at_n:
-            return lambda c, n: weingarten._fold_at(
-                weingarten._weights(c, p), p, n)
-        return lambda c, n: weingarten._fold_symbolic(
-            weingarten._weights(c, p), p)
     if at_n:
         return lambda c, n: weingarten._fold_at(weingarten._weights(c), n)
     return lambda c, n: weingarten._fold_symbolic(weingarten._weights(c), p)
@@ -148,58 +123,31 @@ def run_case(name: str) -> dict:
         start = time.perf_counter()
         results = [fold(c, n) for c, n in inputs]
         seconds = time.perf_counter() - start
-    digest = hashlib.sha256(json.dumps(
-        [[str(r), getattr(r, "validity_min_n", None)] for r in results]
-    ).encode())
     return {"seconds": seconds, "results": len(results),
-            "results_sha256": digest.hexdigest()[:16]}
+            "results_sha256": _bench.digest(
+                [[str(r), getattr(r, "validity_min_n", None)]
+                 for r in results])}
 
 
-def check(path: Path) -> int:
-    """1 if two entries give one case different digests, else 0."""
-    digests: dict = {}
-    for label, entry in json.loads(path.read_text())["runs"].items():
-        for case in entry["cases"]:
-            digests.setdefault(case["case"], {})[label] = \
-                case["results_sha256"]
-    bad = 0
-    for case, by_label in digests.items():
-        if len(set(by_label.values())) > 1:
-            bad += 1
-            print(f"{case}: digests differ: {by_label}")
-    print(f"{path}: {len(digests)} cases, {bad} with differing digests")
-    return 1 if bad else 0
-
-
-def child(name: str) -> dict:
-    out = subprocess.run([sys.executable, __file__, "--case", name],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+def digests_of(entry: dict):
+    for case in entry["cases"]:
+        yield case["case"], case["results_sha256"]
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--label", default="current",
-                    help="name of this run's entry in the output file")
-    ap.add_argument("--repeat", type=int, default=7)
-    ap.add_argument("--out", default=str(ROOT / "BENCH_ratfun.json"))
-    ap.add_argument("--check", action="store_true",
-                    help="check that the entries of --out agree on every "
-                         "digest, and exit 1 if they do not")
+    ap = _bench.parser(__doc__, "BENCH_ratfun.json", 7)
     ap.add_argument("--case", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.check:
-        sys.exit(check(Path(args.out)))
+        sys.exit(_bench.check(args.out, digests_of))
     if args.case is not None:
         print(json.dumps(run_case(args.case)))
         return
 
     cases = []
     for name in CASES:
-        runs = [child(name) for _ in range(args.repeat)]
-        if any(r["results_sha256"] != runs[0]["results_sha256"]
-               for r in runs):
-            sys.exit(f"results differ between runs of {name}")
+        runs = _bench.repeated(lambda: _bench.child(__file__, "--case", name),
+                               args.repeat, "results_sha256", name)
         seconds = [r["seconds"] for r in runs]
         cases.append({
             "case": name, "results": runs[0]["results"],
@@ -208,27 +156,14 @@ def main() -> None:
         })
         print(f"{name:<15} {runs[0]['results']:>4} results "
               f"{statistics.median(seconds) * 1e3:9.2f} ms")
-
-    path = Path(args.out)
-    doc = json.loads(path.read_text()) if path.exists() else {"runs": {}}
-    doc["what"] = (
+    _bench.write(args.out, (
         "cold construction of the closed forms of degree <= 5; cold "
         "folds of class counts: symbolic over the batch-symbolic corpus, at "
         f"each query's n over the batch-heavy corpus (seed {CORPUS_SEED}); "
         "cold public calls: symbolic group moments with few nonzero shape "
         "weights at p = 20..30, xi_symbolic of the 24-cycle and of 1^20; "
-        "one fresh process per run")
-    doc["runs"][args.label] = {
-        "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
-                 "python": platform.python_version()},
-        "repeat": args.repeat,
-        "cases": cases,
-    }
-    # one line per list of numbers
-    text = re.sub(r"\[\s+([^][{}]*?)\s+\]",
-                  lambda m: "[" + " ".join(m.group(1).split()) + "]",
-                  json.dumps(doc, indent=1))
-    path.write_text(text + "\n")
+        "one fresh process per run"), args.label,
+        {"host": _bench.host(), "repeat": args.repeat, "cases": cases})
 
 
 if __name__ == "__main__":

@@ -62,7 +62,7 @@ def _format_float(x: float) -> str:
 
 
 _TOO_LONG = "the value has more digits than Python's integer printing limit"
-_TOO_LONG_INPUT = ("an integer in the line has more digits than Python's "
+_TOO_LONG_INPUT = ("an integer in {} has more digits than Python's "
                    "integer parsing limit")
 
 
@@ -198,16 +198,16 @@ def _run_batch(args) -> int:
     return 1 if failures else 0
 
 
-def _loads(line: str):
+def _loads(text: str, where: str = "the line"):
     """json.loads, with the CLI's own message for an integer longer than
-    ``sys.get_int_max_str_digits``: every other error it raises is a
-    JSONDecodeError or a RecursionError."""
+    ``sys.get_int_max_str_digits``, naming ``where`` the text came from:
+    every other error it raises is a JSONDecodeError or a RecursionError."""
     try:
-        return json.loads(line)
+        return json.loads(text)
     except json.JSONDecodeError:
         raise
     except ValueError:
-        raise ValueError(_TOO_LONG_INPUT) from None
+        raise ValueError(_TOO_LONG_INPUT.format(where)) from None
 
 
 def _shown(line: str) -> str:
@@ -291,9 +291,11 @@ def _cmd_mc(args) -> int:
                              estimate_sphere_moment, mc_tolerance)
 
     try:
-        obj = json.loads(args.query)
+        obj = _loads(args.query, "--query")
     except json.JSONDecodeError as e:
         raise UsageError(f"--query is not valid JSON: {e}")
+    except RecursionError:
+        raise UsageError("--query is nested too deeply") from None
     if not isinstance(obj, dict):
         raise UsageError("--query must be a JSON object")
     kind = obj.get("kind", "haar")

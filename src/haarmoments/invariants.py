@@ -506,9 +506,11 @@ def moment(q: MomentQuery, method: str = "auto", symbolic: bool = False):
     The value is a Fraction at q.n, or a RationalFunction of n when
     ``symbolic``.  The label is ``invariant:<family>`` when a closed form
     answered and ``group`` when the group engine did.  Method ``auto`` tries
-    the closed forms first and falls back to the engine, also when the
-    matched form does not evaluate at q.n; ``invariant`` raises ValueError
-    in both cases; ``group`` goes straight to the engine.
+    the closed forms first and falls back to the engine when none matches;
+    ``invariant`` raises ValueError then; ``group`` goes straight to the
+    engine.  A matched form is valid from n = max(distinct rows, distinct
+    columns) on, the least n any query of the moment has, so it is
+    evaluated at q.n without a fallback.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {', '.join(METHODS)}, "
@@ -519,14 +521,8 @@ def moment(q: MomentQuery, method: str = "auto", symbolic: bool = False):
         if hit is not None:
             family, rf = hit
             label = f"invariant:{family}"
-            if symbolic:
-                return rf, label
-            try:
-                return rf.eval_at(q.n), label
-            except (ValueError, ZeroDivisionError):
-                if method == "invariant":
-                    raise
-        elif method == "invariant":
+            return (rf if symbolic else rf.eval_at(q.n)), label
+        if method == "invariant":
             raise ValueError("no closed form; use method=group")
     if symbolic:
         return weingarten.moment_symbolic(cm), "group"

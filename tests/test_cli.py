@@ -485,15 +485,23 @@ def test_mc_exact_value_uses_closed_forms(capsys):
 
 
 def test_mc_refuses_bad_queries(capsys):
+    long = "9" * 5000
+    too_long = ('{"n":%s,"I":[1],"J":[1],"K":[1],"L":[1]}' % long,
+                '{"kind":"sphere","exponents":[2,0],"n":%s}' % long)
     for query in ('[1,2]', '{"kind":"sphere","n":3}',
                   '{"kind":"sphere","exponents":5}', '{"kind":"cube"}',
                   '{"n":Infinity,"I":[1],"J":[1],"K":[1],"L":[1]}',
-                  '{"kind":"sphere","exponents":[2,0],"n":Infinity}'):
+                  '{"kind":"sphere","exponents":[2,0],"n":Infinity}',
+                  "[" * 100_000 + "]" * 100_000) + too_long:
         code, out, err = run_cli(capsys, "mc", "--query", query,
                                  "--samples", "100")
         assert code == 2, query
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, query
+        assert "set_int_max_str_digits" not in err, query
+        if query in too_long:
+            assert err == ("error: an integer in --query has more digits "
+                           "than Python's integer parsing limit\n")
 
 
 def test_verify_exit_codes(capsys):

@@ -245,17 +245,21 @@ def test_moment_labels_the_route():
             assert invariants.moment(q, "group", symbolic) == (value, "group")
 
 
-def test_moment_falls_back_below_the_closed_form_domain(monkeypatch):
-    # no catalog form is asserted above the number of distinct indices, so
-    # a narrowed copy of E(2) stands in for a form invalid at q.n
+def test_moment_refuses_a_form_below_its_domain(monkeypatch):
+    # no catalog form is asserted above the number of distinct indices
+    # (test_closed_form_hits_match_group_engine), so no method falls back
+    # to the engine when a matched form does not evaluate: a narrowed copy
+    # of E(2) stands in for a form invalid at q.n
     narrowed = invariants.exchange_e2().with_validity(3)
     monkeypatch.setattr(invariants, "match_closed_form",
                         lambda m: ("x4", narrowed))
     q = invariants.e2_query(n=2)
-    assert invariants.moment(q) == (Fraction(-1, 6), "group")
-    assert invariants.moment(q, symbolic=True) == (narrowed, "invariant:x4")
-    with pytest.raises(ValueError, match="outside validity domain"):
-        invariants.moment(q, "invariant")
+    for method in ("auto", "invariant"):
+        with pytest.raises(ValueError, match="outside validity domain"):
+            invariants.moment(q, method)
+        assert (invariants.moment(q, method, symbolic=True)
+                == (narrowed, "invariant:x4"))
+    assert invariants.moment(q, "group") == (Fraction(-1, 6), "group")
 
 
 def test_moment_refusals():
@@ -330,10 +334,14 @@ def test_closed_form_hits_match_group_engine(pair):
     rf = hit[1]
     group = weingarten.evaluate(q, symbolic=True)
     assert (rf.num, rf.den) == (group.num, group.den), hit[0]
-    p = len(q.I)
-    for n in range(max(rf.validity_min_n, q.n), p + 2):
-        fixed = weingarten.evaluate(MomentQuery.make(n, q.I, q.J, q.K, q.L))
-        assert rf.eval_at(n) == fixed, (hit[0], n)
+    # the form holds from the least n of any query of the moment on, so
+    # invariants.moment needs no fallback to the engine; from n = p on no
+    # factor n + k, |k| < p, of its denominator vanishes
+    least = max(len(set(q.I + q.K)), len(set(q.J + q.L)))
+    assert rf.validity_min_n <= least, hit
+    m = canonicalize(q)
+    for n in range(least, len(q.I) + 2):
+        assert rf.eval_at(n) == weingarten.moment_at(m, n), (hit[0], n)
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
