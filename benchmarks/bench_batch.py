@@ -21,9 +21,21 @@ Two kinds of case:
   benchmark's children have it, ``--repeat`` runs each, taken in turn.
   The wall time runs from the start of the process to its exit, and the
   digest is of the output bytes and the exit code.
+
+A process that starts from cached bytecode takes about 20 ms less than one
+that compiles the package, so compare only entries measured the same way.
+``host.bytecode_current`` records, before any run, whether every module of
+the package timed had a pyc that Python would load rather than recompile:
+one at ``importlib.util.cache_from_source`` whose header holds this
+interpreter's magic number and the source's mtime and size.
+``host.bytecode_written`` records whether ``PYTHONDONTWRITEBYTECODE`` was
+unset, so that the runs could write pycs.  Entries before
+``bytecode_current`` have only the second.
 """
+import importlib.util
 import json
 import os
+import struct
 import statistics
 import subprocess
 import sys
@@ -115,6 +127,24 @@ def processes(repeat: int) -> list:
     return out
 
 
+def bytecode_current() -> bool:
+    """Whether each ``*.py`` of the package on the path has a current
+    timestamp pyc, by Python's own staleness rule."""
+    package = Path(importlib.util.find_spec("haarmoments").origin).parent
+    for source in package.glob("*.py"):
+        stat = source.stat()
+        want = importlib.util.MAGIC_NUMBER + struct.pack(
+            "<III", 0, int(stat.st_mtime) & 0xFFFFFFFF,
+            stat.st_size & 0xFFFFFFFF)
+        try:
+            with open(importlib.util.cache_from_source(source), "rb") as pyc:
+                if pyc.read(16) != want:
+                    return False
+        except OSError:
+            return False
+    return True
+
+
 def digests_of(entry: dict):
     for case in entry.get("stages", []):
         yield f"stages {case['stage']}", case["results_sha256"]
@@ -126,14 +156,15 @@ def main() -> None:
     args = _bench.parser(__doc__, "BENCH_batch.json", 11).parse_args()
     if args.check:
         sys.exit(_bench.check(args.out, digests_of))
+    host = _bench.host(bytecode_written=not os.environ.get(
+        "PYTHONDONTWRITEBYTECODE"), bytecode_current=bytecode_current())
     _bench.write(args.out, (
         "per-line parse, canonicalize (canonical_form) and "
         "match_closed_form over the "
         f"batch-light corpus (seed {CORPUS_SEED}), in process and warm; "
         "whole-process moment --batch wall time on an empty file and on the "
         "three batch corpora, output piped, PYTHONUNBUFFERED=1"), args.label, {
-        "host": _bench.host(bytecode_written=not os.environ.get(
-            "PYTHONDONTWRITEBYTECODE")),
+        "host": host,
         "repeat": args.repeat,
         "stages": stages(args.repeat),
         "processes": processes(args.repeat),

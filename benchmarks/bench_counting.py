@@ -86,10 +86,9 @@ WEIGHT_CASES = CASES + [
 
 
 def _compositions(I, J, Q) -> tuple[int, int]:
-    from haarmoments.stabilizer import stabilizer
-    GI, GJ = stabilizer(I), stabilizer(J)
-    reps = GI.cosets([J[Q[x]] for x in range(len(I))])
-    return GI.order * GJ.order, reps.order * GJ.order
+    from haarmoments.queries import _order
+    pairs = _order(I) * _order(J)
+    return pairs, pairs // _order(zip(I, [J[b] for b in Q]))
 
 
 def run_case(index: int) -> dict:

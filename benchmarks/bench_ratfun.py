@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Timing of the rational-function layer: cold construction of reduced
-closed forms, the folds of class counts into a moment, and large-degree
-symbolic answers whose shape weights have few nonzero entries.
+closed forms, the folds of class counts into a moment, large-degree
+symbolic answers whose shape weights have few nonzero entries, and a
+closed form of large degree at fixed n.
 
 Four kinds of case:
 
@@ -22,7 +23,9 @@ Four kinds of case:
   (``one-weight p=20`` .. ``p=30``; one nonzero weight), of I = 1^13 2^13
   against J = (1,2)x13 (``two-row p=26``; 14 of 2,436 shapes), and the class
   integrals ``xi_symbolic`` of the 24-cycle (24 hooks of 1,575 shapes) and,
-  as a control whose characters cover every shape, of 1^20.
+  as a control whose characters cover every shape, of 1^20.  ``fan p=3000``
+  is ``moment`` at n = 4 of one row against one column 3,000 times, which
+  the closed form 3000!/(n(n+1)...(n+2999)) answers.
 
 Each case runs cold in a fresh interpreter, ``--repeat`` times, so no cache
 filled by an earlier case or run is reused.  The digest is of every result:
@@ -40,7 +43,7 @@ CORPUS_SEED = 3
 CASES = (["catalog"] + [f"fold p={p}" for p in range(7, 12)]
          + [f"fold at n p={p}" for p in range(7, 10)]
          + [f"one-weight p={p}" for p in (20, 24, 30)]
-         + ["two-row p=26", "xi (24)", "xi 1^20"])
+         + ["two-row p=26", "xi (24)", "xi 1^20", "fan p=3000"])
 
 
 def catalog_calls() -> list:
@@ -94,6 +97,9 @@ def public_call(name: str):
     elif name.startswith("two-row"):
         I = (1,) * (p // 2) + (2,) * (p // 2)
         q = hm.MomentQuery.make(p, I, (1, 2) * (p // 2), I, (1, 2) * (p // 2))
+    elif name.startswith("fan"):
+        q = hm.fan_query((p,), n=4)
+        return lambda: hm.moment(q)[0]
     else:
         ct = (24,) if name == "xi (24)" else (1,) * 20
         return lambda: hm.xi_symbolic(ct)
@@ -162,6 +168,7 @@ def main() -> None:
         f"each query's n over the batch-heavy corpus (seed {CORPUS_SEED}); "
         "cold public calls: symbolic group moments with few nonzero shape "
         "weights at p = 20..30, xi_symbolic of the 24-cycle and of 1^20; "
+        "the one-row, one-column fan of degree 3000 at n = 4; "
         "one fresh process per run"), args.label,
         {"host": _bench.host(), "repeat": args.repeat, "cases": cases})
 

@@ -12,10 +12,12 @@ division (any common factor of the two must be one of them, so the result is
 in lowest terms), the numerator and denominator share no integer content,
 and the denominator's leading coefficient is positive.
 
-This module is the one place that multiplies c * prod(n + k) out
-(``expand``).  A caller that knows its denominator's linear factors passes
-them to ``RationalFunction.over_linear``, and the ratio is reduced against
-them directly.  Only a denominator that arrives as a polynomial — the
+A ratio keeps its denominator as c and the shifts k: a value at fixed n is
+c * prod(n + k), and the polynomial ``den`` is multiplied out (``expand``, the
+one place that does) only when printing, comparison or arithmetic first reads
+it.  A caller that knows its denominator's linear factors passes them to
+``RationalFunction.over_linear``, and the ratio is reduced against them
+directly.  Only a denominator that arrives as a polynomial — the
 ``RationalFunction(num, den)`` constructor, and so the arithmetic operators —
 is split by a search for its integer roots; one with a root that is not an
 integer is refused with ValueError.
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -195,11 +197,13 @@ def expand(const: int, shifts: Iterable[int]) -> list[int]:
     return out
 
 
-def _reduced(num: Poly, const: int, shifts: Iterable[int]) -> tuple[Poly, Poly]:
-    """num / (const * prod(n + k)) in lowest terms, denominator positive."""
+def _reduced(num: Poly, const: int,
+             shifts: Iterable[int]) -> tuple[Poly, int, tuple[int, ...]]:
+    """num / (const * prod(n + k)) in lowest terms, const positive: the
+    numerator, const and the shifts left."""
     cs = list(num.coeffs)
     if not cs:
-        return num, Poly((1,))
+        return num, 1, ()
     left = []
     for k, m in Counter(shifts).items():
         while m and len(cs) > 1:
@@ -209,20 +213,21 @@ def _reduced(num: Poly, const: int, shifts: Iterable[int]) -> tuple[Poly, Poly]:
             cs, m = q, m - 1
         left += [k] * m
     g = gcd(const, *cs) if const > 0 else -gcd(const, *cs)
-    return Poly(c // g for c in cs), Poly(expand(const // g, left))
+    return Poly(c // g for c in cs), const // g, tuple(left)
 
 
 class RationalFunction:
     """Reduced ratio of integer polynomials in the matrix dimension."""
 
-    __slots__ = ("num", "den", "validity_min_n")
+    __slots__ = ("num", "const", "shifts", "_den", "validity_min_n")
 
     def __init__(self, num: Poly, den: Poly, validity_min_n: int = 0):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = Poly((1,))
-        self.num, self.den = _reduced(num, *_linear_factors(den))
+        self.num, self.const, self.shifts = _reduced(num, *_linear_factors(den))
+        self._den = None
         self.validity_min_n = validity_min_n
 
     @classmethod
@@ -235,12 +240,20 @@ class RationalFunction:
         return cls._of_reduced(*_reduced(num, const, shifts), validity_min_n)
 
     @classmethod
-    def _of_reduced(cls, num: Poly, den: Poly,
+    def _of_reduced(cls, num: Poly, const: int, shifts: tuple[int, ...],
                     validity_min_n: int) -> "RationalFunction":
-        """Wrap a pair that is already in reduced form."""
+        """Wrap a ratio that is already in reduced form."""
         out = cls.__new__(cls)
-        out.num, out.den, out.validity_min_n = num, den, validity_min_n
+        out.num, out.const, out.shifts = num, const, shifts
+        out._den, out.validity_min_n = None, validity_min_n
         return out
+
+    @property
+    def den(self) -> Poly:
+        """The denominator const * prod(n + k) multiplied out, once."""
+        if self._den is None:
+            self._den = Poly(expand(self.const, self.shifts))
+        return self._den
 
     @classmethod
     def from_fraction(cls, q: Scalar, validity_min_n: int = 0) -> "RationalFunction":
@@ -260,7 +273,8 @@ class RationalFunction:
         return self.num.is_zero()
 
     def with_validity(self, v: int) -> "RationalFunction":
-        return RationalFunction._of_reduced(self.num, self.den, v)
+        return RationalFunction._of_reduced(self.num, self.const,
+                                            self.shifts, v)
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -281,8 +295,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._of_reduced(-self.num, self.den,
-                                            self.validity_min_n)
+        return RationalFunction._of_reduced(-self.num, self.const,
+                                            self.shifts, self.validity_min_n)
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
@@ -328,7 +342,7 @@ class RationalFunction:
                 f"outside validity domain: n={n} < validity_min_n="
                 f"{self.validity_min_n}"
             )
-        dv = self.den(n)
+        dv = self.const * prod(n + k for k in self.shifts)
         if dv == 0:
             raise ZeroDivisionError(f"denominator vanishes at n={n}")
         return Fraction(self.num(n), dv)

@@ -2,77 +2,48 @@
 
 The subgroup of all R with values[R[a]] == values[a] is a direct product of
 symmetric groups on the position blocks of equal values.  It is never
-materialized as a whole; elements stream lazily, as do representatives of its
-right cosets modulo a finer Young subgroup (``YoungSubgroup.cosets``).
+materialized as a whole: ``coset_reps`` streams its elements, or one
+representative of each right coset modulo the finer Young subgroup that also
+fixes a second sequence.  The orders of both are ``queries._order``.
 """
 from __future__ import annotations
 
 from itertools import chain, combinations, permutations, product
-from math import comb, factorial, prod
+from math import comb
 from typing import Hashable, Iterator, Sequence
 
-from ._record import Record, _set
 from .partitions import Perm
 
 
-class YoungSubgroup(Record):
-    __slots__ = ("degree", "blocks")
+def coset_reps(values: Sequence[Hashable],
+               labels: Sequence[Hashable] | None = None) -> Iterator[Perm]:
+    """One R from each right coset H∘R in the stabilizer of ``values``, H the
+    subgroup that also fixes ``labels``; every element when ``labels`` is
+    None.  There are _order(values) // _order(zip(values, labels)) of them.
 
-    def __init__(self, degree: int, blocks: tuple[tuple[int, ...], ...]):
-        _set(self, "degree", degree)
-        _set(self, "blocks", blocks)
-
-    @property
-    def order(self) -> int:
-        return prod(map(factorial, map(len, self.blocks)))
-
-    def cosets(self, labels: Sequence[Hashable]) -> CosetReps:
-        """One element R from each right coset H∘R, where H is the subgroup
-        that also fixes ``labels``; |H| == order // cosets(labels).order."""
-        return CosetReps(self.degree,
-                         tuple([_split(block, labels) for block in self.blocks]))
-
-    def __iter__(self) -> Iterator[Perm]:
-        trivial = tuple(tuple((x,) for x in b) for b in self.blocks)
-        return iter(CosetReps(self.degree, trivial))
-
-
-class CosetReps(Record):
-    """Right-coset representatives of a Young subgroup H in a Young subgroup
-    G containing it.
-
-    ``blocks`` holds G's blocks, each split into the blocks of H inside it.
     The coset H∘R is fixed by which H-block R sends each position to, so the
-    representatives are the placements of each G-block's H-blocks onto its
-    positions, each H-block's members kept in increasing order: a
-    multinomial number per G-block.
+    representatives are the placements of each block of ``values``'s H-blocks
+    onto its positions, each H-block's members kept in increasing order: a
+    multinomial number per block.
     """
-    __slots__ = ("degree", "blocks")
-
-    def __init__(self, degree: int,
-                 blocks: tuple[tuple[tuple[int, ...], ...], ...]):
-        _set(self, "degree", degree)
-        _set(self, "blocks", blocks)
-
-    @property
-    def order(self) -> int:
-        return prod(map(_placement_count, self.blocks))
-
-    def __iter__(self) -> Iterator[Perm]:
-        moving = [groups for groups in self.blocks if len(groups) > 1]
-        # Stream the largest block's placements and hold the others: each
-        # held list is at most the square root of the order long.
-        moving.sort(key=_placement_count, reverse=True)
-        slots = [sorted(chain.from_iterable(groups)) for groups in moving]
-        held = [tuple(_placements(groups)) for groups in moving[1:]]
-        base = list(range(self.degree))
-        for head in _placements(moving[0]) if moving else [()]:
-            for tail in product(*held):
-                img = base[:]
-                for block, targets in zip(slots, (head,) + tail):
-                    for pos, tgt in zip(block, targets):
-                        img[pos] = tgt
-                yield tuple(img)
+    if labels is None:
+        labels = range(len(values))
+    moving = [groups for groups in (_split(block, labels) for block
+                                    in _split(range(len(values)), values))
+              if len(groups) > 1]
+    # Stream the largest block's placements and hold the others: each held
+    # list is at most the square root of the count long.
+    moving.sort(key=_placement_count, reverse=True)
+    slots = [sorted(chain.from_iterable(groups)) for groups in moving]
+    held = [tuple(_placements(groups)) for groups in moving[1:]]
+    base = list(range(len(values)))
+    for head in _placements(moving[0]) if moving else [()]:
+        for tail in product(*held):
+            img = base[:]
+            for block, targets in zip(slots, (head,) + tail):
+                for pos, tgt in zip(block, targets):
+                    img[pos] = tgt
+            yield tuple(img)
 
 
 def _split(block: Sequence[int],
@@ -114,7 +85,3 @@ def _shuffles(groups: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
             for i, tgt in zip(others, sub):
                 img[i] = tgt
             yield tuple(img)
-
-
-def stabilizer(values: Sequence[Hashable]) -> YoungSubgroup:
-    return YoungSubgroup(len(values), _split(range(len(values)), values))

@@ -85,7 +85,7 @@ from .partitions import (
 from .queries import (CanonicalMoment, MomentQuery, _first_fit, _order,
                       canonicalize)
 from .ratfun import Poly, RationalFunction, _divide_linear, expand
-from .stabilizer import stabilizer
+from .stabilizer import coset_reps
 
 
 def backend_name() -> str:
@@ -174,45 +174,38 @@ def pair_count(m: CanonicalMoment) -> int:
     """Size of the raw stabilizer pair sum, |S_I|·|S_J|; ``class_counts``
     caps it.  The engine composes |S_I|·|S_J|/|H| of these pairs, or counts
     tabloids instead (see ``_shape_weights``)."""
-    return stabilizer(m.I).order * stabilizer(m.J).order
+    return _order(m.I) * _order(m.J)
 
 
 def class_counts(I, J, Q) -> dict[Partition, int]:
     """Counts, by cycle type of S∘Q∘R, of stabilizer pairs (R, S)."""
-    GI, GJ, reps = _double_coset(I, J, [J[b] for b in Q])
-    total = GI.order * GJ.order
+    total = _order(I) * _order(J)
     if total > PAIR_CAP:
         raise ValueError(
             f"stabilizer double sum has {total} terms (cap {PAIR_CAP}); "
             "use Monte Carlo estimation for this query"
         )
-    return _enumerate(GI, GJ, reps, Q)
+    return _enumerate(I, J, [J[b] for b in Q], Q)
 
 
-def _double_coset(I, J, L):
-    """S_I, S_J and one R from each right coset H'∘R in S_I, H' the
-    subgroup of S_I that also fixes the plain columns L.
+def _enumerate(I, J, L, Q) -> dict[Partition, int]:
+    """Class counts of the stabilizer pairs, for any Q with J[Q[x]] == L[x]:
+    one composition per element of the double coset S_J·Q·S_I, each
+    weighted by |H'|.
 
-    For any Q with J[Q[x]] == L[x], S∘Q∘R == S'∘Q∘R' exactly when R'∘R⁻¹
-    lies in H' = S_I ∩ Q⁻¹·S_J·Q.  So S over S_J and R over the
-    representatives give every element of S_J·Q·S_I once, and each stands
-    for |H'| pairs.  Only the composition needs Q itself."""
-    GI = stabilizer(I)
-    return GI, stabilizer(J), GI.cosets(L)
-
-
-def _enumerate(GI, GJ, reps, Q) -> dict[Partition, int]:
-    """Class counts of the stabilizer pairs, one composition per element of
-    the double coset, each weighted by |H'|."""
-    weight = GI.order // reps.order
+    S∘Q∘R == S'∘Q∘R' exactly when R'∘R⁻¹ lies in H' = S_I ∩ Q⁻¹·S_J·Q, the
+    subgroup of S_I that also fixes L.  So S over S_J and R over one
+    representative of each right coset H'∘R give every element once."""
+    weight = _order(zip(I, L))
+    cosets, elements = _order(I) // weight, _order(J)
     # Hold the smaller factor, stream the larger.  Streaming R against held
     # S∘Q composes R∘S∘Q, a conjugate of S∘Q∘R with the same cycle type.
-    if reps.order <= GJ.order:
-        counts = count_compositions(GJ, GJ.order,
-                                    [compose(Q, r) for r in reps])
+    if cosets <= elements:
+        counts = count_compositions(coset_reps(J), elements,
+                                    [compose(Q, r) for r in coset_reps(I, L)])
     else:
-        counts = count_compositions(reps, reps.order,
-                                    [compose(s, Q) for s in GJ])
+        counts = count_compositions(coset_reps(I, L), cosets,
+                                    [compose(s, Q) for s in coset_reps(J)])
     return {ct: c * weight for ct, c in counts.items()}
 
 
@@ -237,7 +230,7 @@ def _shape_weights(I: tuple, J: tuple, L: tuple) -> dict[Partition, int]:
         )
     if tabloids < compositions:
         return _tabloids.shape_weights(I, J, L)
-    return _weights(_enumerate(*_double_coset(I, J, L), _first_fit(J, L)))
+    return _weights(_enumerate(I, J, L, _first_fit(J, L)))
 
 
 # ---------------------------------------------------------------------------

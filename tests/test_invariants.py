@@ -1,13 +1,14 @@
 """Closed forms from invariance arguments, their queries, the matcher, and
 the route choice."""
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarmoments import invariants, weingarten
+from haarmoments import invariants, ratfun, weingarten
 from haarmoments.queries import MomentQuery, canonicalize
 from haarmoments.ratfun import Poly, RationalFunction
 
@@ -23,6 +24,22 @@ def test_fan_single_line():
 def test_fan_multi_line():
     assert invariants.fan((2, 1)).eval_at(4) == Fraction(1, 60)
     assert invariants.fan((1, 1, 1)).eval_at(2) == Fraction(1, 24)
+
+
+def test_fan_of_large_degree_at_fixed_n_is_fast(monkeypatch):
+    # 3000!/(4·5···3003) must come from the denominator's linear factors:
+    # multiplying 3,000 of them out takes O(p²) big-integer steps
+    def refuse(*args):
+        raise AssertionError("a polynomial product was formed")
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Poly, name, refuse)
+    monkeypatch.setattr(ratfun, "expand", refuse)
+    q = invariants.fan_query((3000,), n=4)
+    start = time.perf_counter()
+    value, label = invariants.moment(q)
+    assert time.perf_counter() - start < 1.0
+    assert (value, label) == (Fraction(6, 3001 * 3002 * 3003), "invariant:fan")
 
 
 def test_fan_rejects_zero_multiplicity():

@@ -14,7 +14,6 @@ from haarmoments import weingarten
 from haarmoments.invariants import moment
 from haarmoments.queries import (CanonicalMoment, MomentQuery, _first_fit,
                                  alignments, canonicalize)
-from haarmoments.stabilizer import CosetReps, YoungSubgroup
 from haarmoments.weingarten import PAIR_CAP
 
 
@@ -351,8 +350,6 @@ _RECORDS = [
      (3, (1, 2), (1, 2), (2, 1), (2, 1))),
     (CanonicalMoment, ("n", "p", "I", "J", "L", "zero"),
      (3, 2, (1, 2), (1, 2), (2, 1), False)),
-    (YoungSubgroup, ("degree", "blocks"), (3, ((0, 2), (1,)))),
-    (CosetReps, ("degree", "blocks"), (3, (((0,), (2,)), ((1,),)))),
 ]
 
 

@@ -17,9 +17,10 @@ from haarmoments.partitions import (character, class_size, compose,
                                     cycle_type, dim_symmetric,
                                     dim_unitary_at, hook_lengths, inverse,
                                     partitions_of, schur_expansion)
-from haarmoments.queries import CanonicalMoment, MomentQuery, canonicalize
+from haarmoments.queries import (CanonicalMoment, MomentQuery, _order,
+                                 canonicalize)
 from haarmoments.ratfun import Poly, RationalFunction
-from haarmoments.stabilizer import stabilizer
+from haarmoments.stabilizer import coset_reps
 from test_tabloids import HEAVY_KEYS
 
 
@@ -129,10 +130,9 @@ def test_class_counts_repeated_rows_and_columns():
 
 
 def test_class_counts_total_is_group_product():
-    from haarmoments.stabilizer import stabilizer
     I, J, Q = (1, 1, 2), (2, 2, 2), (0, 1, 2)
     counts = weingarten.class_counts(I, J, Q)
-    assert sum(counts.values()) == stabilizer(I).order * stabilizer(J).order
+    assert sum(counts.values()) == _order(I) * _order(J)
 
 
 def _fixing(values):
@@ -140,6 +140,35 @@ def _fixing(values):
     p = len(values)
     return [r for r in permutations(range(p))
             if all(values[r[x]] == values[x] for x in range(p))]
+
+
+@st.composite
+def _value_label_pairs(draw):
+    p = draw(st.integers(0, 6))
+    values = draw(st.lists(st.integers(1, max(p, 1)), min_size=p, max_size=p))
+    labels = draw(st.none() | st.lists(st.integers(1, max(p, 1)),
+                                       min_size=p, max_size=p))
+    return tuple(values), labels
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_value_label_pairs())
+def test_coset_reps_meet_each_coset_once_property(pair):
+    # against S_p filtered: each R fixes values, the images labels∘R are
+    # pairwise distinct (R and R' share the coset H∘R exactly when labels∘R
+    # == labels∘R'), and there are |S_values|/|H| of them
+    values, labels = pair
+    p = len(values)
+    fixing = set(_fixing(values))
+    reps = list(coset_reps(values, labels))
+    assert set(reps) <= fixing
+    if labels is None:
+        assert len(reps) == len(fixing) == _order(values)
+        labels = range(p)
+    images = {tuple(labels[r[x]] for x in range(p)) for r in reps}
+    assert len(images) == len(reps)
+    assert len(reps) == _order(values) // _order(zip(values, labels))
+    assert {tuple(labels[r[x]] for x in range(p)) for r in fixing} == images
 
 
 def _brute_class_counts(I, J, Q):
@@ -462,7 +491,7 @@ def test_cycle_keys_exact_at_widest_degree(monkeypatch):
     I = (1,) * 8 + (2,) * 2 + tuple(range(3, 29))
     J = tuple(range(1, 37))
     Q = tuple(range(10)) + tuple(10 + x for x in rng.sample(range(26), 26))
-    assert stabilizer(I).order > _counting._LOOP_MAX
+    assert _order(I) > _counting._LOOP_MAX
     rest = cycle_type(tuple(x - 10 for x in Q[10:]))
     want = Counter()
     for a in partitions_of(8):
@@ -563,14 +592,13 @@ def _weight_triples(draw):
 @given(_weight_triples())
 def test_tabloid_route_matches_enumeration_property(triple):
     I, J, Q = triple
-    coset = weingarten._double_coset(I, J, [J[b] for b in Q])
-    _, GJ, reps = coset
-    compositions = reps.order * GJ.order
+    L = [J[b] for b in Q]
+    compositions = _order(I) * _order(J) // _order(zip(I, L))
     tabloids = _tabloids.cost(_tabloids._shape(I), _tabloids._shape(J))
     assume(compositions <= 50000 and tabloids <= 500000)
     # the engine's enumeration, which the raw pair cap of class_counts
     # would refuse for one row against one column (8!^2 pairs)
-    want = weingarten._weights(weingarten._enumerate(*coset, Q))
+    want = weingarten._weights(weingarten._enumerate(I, J, L, Q))
     assert _tabloid_weights(I, J, Q) == want
 
 
@@ -580,9 +608,9 @@ def test_shape_weights_of_the_normal_form_property(triple):
     # each route, forced, gives on the normal form the weights that the
     # class counts of the raw aligned form give
     I, J, Q = triple
-    GI, GJ, reps = weingarten._double_coset(I, J, [J[b] for b in Q])
-    assume(GI.order * GJ.order <= weingarten.PAIR_CAP
-           and reps.order * GJ.order <= 50000
+    L = [J[b] for b in Q]
+    assume(_order(I) * _order(J) <= weingarten.PAIR_CAP
+           and _order(I) * _order(J) // _order(zip(I, L)) <= 50000
            and _tabloids.cost(_tabloids._shape(I), _tabloids._shape(J))
            <= 500000)
     want = weingarten._weights(weingarten.class_counts(I, J, Q))
@@ -605,9 +633,8 @@ def test_q_accessor_aligns_the_form_property(triple):
     Q = m.Q
     assert sorted(Q) == list(range(m.p))
     assert tuple(m.J[b] for b in Q) == m.L
-    GI, GJ, reps = weingarten._double_coset(m.I, m.J, m.L)
-    assume(GI.order * GJ.order <= weingarten.PAIR_CAP
-           and reps.order * GJ.order <= 50000
+    assume(_order(m.I) * _order(m.J) <= weingarten.PAIR_CAP
+           and _order(m.I) * _order(m.J) // _order(zip(m.I, m.L)) <= 50000
            and _tabloids.cost(_tabloids._shape(m.I), _tabloids._shape(m.J))
            <= 500000)
     want = weingarten._weights(weingarten.class_counts(m.I, m.J, Q))
@@ -770,7 +797,7 @@ def test_query_too_costly_for_both_routes_is_refused_at_once(monkeypatch):
     I = tuple(sorted((1, 2, 3, 4) * 5))
     J = (1, 2, 3, 4, 5) * 4
     Q = tuple(range(20))
-    assert stabilizer(I).order * stabilizer(J).order > weingarten.PAIR_CAP
+    assert _order(I) * _order(J) > weingarten.PAIR_CAP
     assert _tabloids.cost((5, 5, 5, 5), (4, 4, 4, 4, 4)) > weingarten.PAIR_CAP
 
     def refuse(*args):
