@@ -25,7 +25,11 @@ Four kinds of case:
   integrals ``xi_symbolic`` of the 24-cycle (24 hooks of 1,575 shapes) and,
   as a control whose characters cover every shape, of 1^20.  ``fan p=3000``
   is ``moment`` at n = 4 of one row against one column 3,000 times, which
-  the closed form 3000!/(n(n+1)...(n+2999)) answers.
+  the closed form 3000!/(n(n+1)...(n+2999)) answers.  ``operators p=400``
+  takes the sum, difference, product, equality and hashes of the fans
+  ``fan((200, 200))`` and ``fan((400,))``, built untimed, and the first
+  divided by n - 1; its results are the four ratios and the equality (the
+  hash values change by design, so they are left out).
 
 Each case runs cold in a fresh interpreter, ``--repeat`` times, so no cache
 filled by an earlier case or run is reused.  The digest is of every result:
@@ -43,7 +47,8 @@ CORPUS_SEED = 3
 CASES = (["catalog"] + [f"fold p={p}" for p in range(7, 12)]
          + [f"fold at n p={p}" for p in range(7, 10)]
          + [f"one-weight p={p}" for p in (20, 24, 30)]
-         + ["two-row p=26", "xi (24)", "xi 1^20", "fan p=3000"])
+         + ["two-row p=26", "xi (24)", "xi 1^20", "fan p=3000",
+            "operators p=400"])
 
 
 def catalog_calls() -> list:
@@ -87,8 +92,16 @@ def folder(at_n: bool, p: int):
     return lambda c, n: weingarten._fold_symbolic(weingarten._weights(c), p)
 
 
+def operators(a, b, n_minus_1) -> list:
+    """a + b, a - b, a * b, a / (n - 1) and a == b; the hashes of a and b
+    are taken but not returned."""
+    hash(a), hash(b)
+    return [a + b, a - b, a * b, a / n_minus_1, a == b]
+
+
 def public_call(name: str):
-    """The timed call of a public-API case, with nothing computed ahead."""
+    """The timed call of a public-API case, with nothing computed ahead but
+    its operands; it returns the case's results."""
     import haarmoments as hm
 
     p = int(name.split("=")[1]) if "=" in name else 0
@@ -99,11 +112,14 @@ def public_call(name: str):
         q = hm.MomentQuery.make(p, I, (1, 2) * (p // 2), I, (1, 2) * (p // 2))
     elif name.startswith("fan"):
         q = hm.fan_query((p,), n=4)
-        return lambda: hm.moment(q)[0]
+        return lambda: [hm.moment(q)[0]]
+    elif name.startswith("operators"):
+        a, b = hm.fan((p // 2, p // 2)), hm.fan((p,))
+        return lambda: operators(a, b, hm.Poly((-1, 1)))
     else:
         ct = (24,) if name == "xi (24)" else (1,) * 20
-        return lambda: hm.xi_symbolic(ct)
-    return lambda: hm.moment(q, "group", symbolic=True)[0]
+        return lambda: [hm.xi_symbolic(ct)]
+    return lambda: [hm.moment(q, "group", symbolic=True)[0]]
 
 
 def run_case(name: str) -> dict:
@@ -119,7 +135,7 @@ def run_case(name: str) -> dict:
     elif not name.startswith("fold"):
         call = public_call(name)
         start = time.perf_counter()
-        results = [call()]
+        results = call()
         seconds = time.perf_counter() - start
     else:
         p = int(name.split("=")[1])
@@ -168,7 +184,8 @@ def main() -> None:
         f"each query's n over the batch-heavy corpus (seed {CORPUS_SEED}); "
         "cold public calls: symbolic group moments with few nonzero shape "
         "weights at p = 20..30, xi_symbolic of the 24-cycle and of 1^20; "
-        "the one-row, one-column fan of degree 3000 at n = 4; "
+        "the one-row, one-column fan of degree 3000 at n = 4; the four "
+        "operators, equality and hashes of two degree-400 fans; "
         "one fresh process per run"), args.label,
         {"host": _bench.host(), "repeat": args.repeat, "cases": cases})
 

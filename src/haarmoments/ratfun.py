@@ -12,15 +12,18 @@ division (any common factor of the two must be one of them, so the result is
 in lowest terms), the numerator and denominator share no integer content,
 and the denominator's leading coefficient is positive.
 
-A ratio keeps its denominator as c and the shifts k: a value at fixed n is
-c * prod(n + k), and the polynomial ``den`` is multiplied out (``expand``, the
-one place that does) only when printing, comparison or arithmetic first reads
-it.  A caller that knows its denominator's linear factors passes them to
-``RationalFunction.over_linear``, and the ratio is reduced against them
-directly.  Only a denominator that arrives as a polynomial — the
-``RationalFunction(num, den)`` constructor, and so the arithmetic operators —
-is split by a search for its integer roots; one with a root that is not an
-integer is refused with ValueError.
+A ratio keeps its denominator as c and the sorted shifts k, so the reduced
+form (num, c, shifts) is unique: equality and hashing compare those fields,
+and a value at fixed n is c * prod(n + k).  The operators go from factors to
+factors: a sum puts both numerators over the lcm of the two factor multisets,
+a product joins them, and ``RationalFunction.over_linear`` reduces every
+result, as it does any ratio whose caller knows its denominator's linear
+factors.  The polynomial ``den`` is multiplied out (``expand``, the one place
+that does) only when printing or a division first reads it.  Only a
+denominator that arrives as a polynomial — the ``RationalFunction(num, den)``
+constructor, and so a divisor's numerator — is split by a search for its
+integer roots; one with a root that is not an integer is refused with
+ValueError.
 
 A ratio also carries ``validity_min_n``, the smallest integer n at which the
 expression is asserted to equal the quantity it stands for — denominators
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Union
 
 Scalar = Union[int, Fraction]
@@ -200,7 +203,7 @@ def expand(const: int, shifts: Iterable[int]) -> list[int]:
 def _reduced(num: Poly, const: int,
              shifts: Iterable[int]) -> tuple[Poly, int, tuple[int, ...]]:
     """num / (const * prod(n + k)) in lowest terms, const positive: the
-    numerator, const and the shifts left."""
+    numerator, const and the shifts left, sorted."""
     cs = list(num.coeffs)
     if not cs:
         return num, 1, ()
@@ -213,7 +216,7 @@ def _reduced(num: Poly, const: int,
             cs, m = q, m - 1
         left += [k] * m
     g = gcd(const, *cs) if const > 0 else -gcd(const, *cs)
-    return Poly(c // g for c in cs), const // g, tuple(left)
+    return Poly(c // g for c in cs), const // g, tuple(sorted(left))
 
 
 class RationalFunction:
@@ -237,14 +240,8 @@ class RationalFunction:
         factors without searching for them."""
         if const == 0:
             raise ZeroDivisionError("zero denominator")
-        return cls._of_reduced(*_reduced(num, const, shifts), validity_min_n)
-
-    @classmethod
-    def _of_reduced(cls, num: Poly, const: int, shifts: tuple[int, ...],
-                    validity_min_n: int) -> "RationalFunction":
-        """Wrap a ratio that is already in reduced form."""
         out = cls.__new__(cls)
-        out.num, out.const, out.shifts = num, const, shifts
+        out.num, out.const, out.shifts = _reduced(num, const, shifts)
         out._den, out.validity_min_n = None, validity_min_n
         return out
 
@@ -273,8 +270,8 @@ class RationalFunction:
         return self.num.is_zero()
 
     def with_validity(self, v: int) -> "RationalFunction":
-        return RationalFunction._of_reduced(self.num, self.const,
-                                            self.shifts, v)
+        return RationalFunction.over_linear(self.num, self.shifts, v,
+                                            self.const)
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
@@ -289,14 +286,18 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        a, b = Counter(self.shifts), Counter(o.shifts)
+        c = lcm(self.const, o.const)
+        num = (self.num * Poly(expand(c // self.const, (b - a).elements()))
+               + o.num * Poly(expand(c // o.const, (a - b).elements())))
         v = max(self.validity_min_n, o.validity_min_n)
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den, v)
+        return RationalFunction.over_linear(num, (a | b).elements(), v, c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._of_reduced(-self.num, self.const,
-                                            self.shifts, self.validity_min_n)
+        return RationalFunction.over_linear(-self.num, self.shifts,
+                                            self.validity_min_n, self.const)
 
     def __sub__(self, other) -> "RationalFunction":
         return self + (-self._coerce(other))
@@ -309,7 +310,9 @@ class RationalFunction:
         if o is NotImplemented:
             return NotImplemented
         v = max(self.validity_min_n, o.validity_min_n)
-        return RationalFunction(self.num * o.num, self.den * o.den, v)
+        return RationalFunction.over_linear(self.num * o.num,
+                                            self.shifts + o.shifts, v,
+                                            self.const * o.const)
 
     __rmul__ = __mul__
 
@@ -319,8 +322,7 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        v = max(self.validity_min_n, o.validity_min_n)
-        return RationalFunction(self.num * o.den, self.den * o.num, v)
+        return self * RationalFunction(o.den, o.num, o.validity_min_n)
 
     def __rtruediv__(self, other) -> "RationalFunction":
         return self._coerce(other) / self
@@ -330,10 +332,11 @@ class RationalFunction:
             other = RationalFunction.from_fraction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return ((self.num, self.const, self.shifts)
+                == (other.num, other.const, other.shifts))
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.num, self.const, self.shifts))
 
     def eval_at(self, n: int) -> Fraction:
         """Exact value at integer n; refused below the validity floor."""

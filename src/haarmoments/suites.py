@@ -33,13 +33,6 @@ def _check(results: list[CheckResult], name: str, ok, detail: str = "") -> None:
     results.append(CheckResult(name, bool(ok), detail))
 
 
-def _lin(*shifts: int) -> Poly:
-    out = Poly((1,))
-    for k in shifts:
-        out = out * Poly.n_plus(k)
-    return out
-
-
 def _sym(q: MomentQuery) -> RationalFunction:
     return weingarten.evaluate(q, symbolic=True)
 
@@ -50,7 +43,7 @@ def _sym(q: MomentQuery) -> RationalFunction:
 def run_paper_tables(**_) -> list[CheckResult]:
     res: list[CheckResult] = []
 
-    one_over_n = RationalFunction(Poly((1,)), _lin(0), 1)
+    one_over_n = RationalFunction.over_linear(Poly((1,)), (0,), 1)
     q1 = MomentQuery.make(1, (1,), (1,), (1,), (1,))
     _check(res, "p1-direct", _sym(q1) == one_over_n, "<|U_11|^2> = 1/n")
 
@@ -104,7 +97,7 @@ def run_unitarity_sums(seed: int = DEFAULT_SEED, **_) -> list[CheckResult]:
     res: list[CheckResult] = []
 
     for ct, (num, shifts) in _XI_EXPECT.items():
-        want = RationalFunction(num, _lin(*shifts), sum(ct))
+        want = RationalFunction.over_linear(num, shifts, sum(ct))
         _check(res, f"xi-{','.join(map(str, ct))}",
                weingarten.xi_symbolic(ct) == want)
 
@@ -278,9 +271,10 @@ def run_sphere(**_) -> list[CheckResult]:
 
     s2 = sphere.s_single_symbolic(2)
     _check(res, "s2-symbolic",
-           s2 == RationalFunction(Poly((3,)), _lin(0, 2)), "3/(n(n+2))")
+           s2 == RationalFunction.over_linear(Poly((3,)), (0, 2)), "3/(n(n+2))")
     _check(res, "s1-symbolic",
-           sphere.s_single_symbolic(1) == RationalFunction(Poly((1,)), _lin(0)))
+           sphere.s_single_symbolic(1)
+           == RationalFunction.over_linear(Poly((1,)), (0,)))
     _check(res, "s2-at-3", sphere.s_single(2, 3) == Fraction(1, 5))
     _check(res, "s11-at-3", sphere.s_multi((1, 1), 3) == Fraction(1, 15))
     _check(res, "s11-is-third-of-s2",

@@ -1,5 +1,6 @@
 """Exact polynomial and rational-function arithmetic."""
 import json
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarmoments import invariants, partitions, ratfun, sphere, weingarten
+from haarmoments import (invariants, partitions, ratfun, sphere, suites,
+                         weingarten)
 from haarmoments.queries import MomentQuery, canonicalize
 from haarmoments.ratfun import Poly, RationalFunction, expand
 
@@ -136,6 +138,70 @@ def test_factored_construction_equals_poly_construction(case):
     want = RationalFunction(num, Poly(expand(const, shifts)), v)
     assert (got.num, got.den, got.validity_min_n) == (
         want.num, want.den, want.validity_min_n)
+
+
+def _reduced_form_holds(r: RationalFunction) -> None:
+    assert list(r.shifts) == sorted(r.shifts) and r.const > 0
+    rebuilt = RationalFunction(r.num, r.den)
+    assert rebuilt == r and hash(rebuilt) == hash(r)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_factored_ratios(), _factored_ratios())
+def test_operators_agree_with_fraction_arithmetic_property(x, y):
+    # the divisors are b and its denominator, whose numerator always splits
+    a, b = (RationalFunction.over_linear(num, shifts, v, const)
+            for num, shifts, const, v in (x, y))
+    d = RationalFunction.over_linear(b.den, (), b.validity_min_n)
+    ns = [n for n in range(6, 60) if b.is_zero() or b.num(n)][:3]
+    results = [(a + b, lambda u, w: u + w), (a - b, lambda u, w: u - w),
+               (a * b, lambda u, w: u * w), (a / d, None)]
+    if not b.is_zero():
+        try:
+            results.append((a / b, lambda u, w: u / w))
+        except ValueError:
+            with pytest.raises(ValueError, match="does not split"):
+                ratfun._linear_factors(b.num)
+    for r, op in results:
+        _reduced_form_holds(r)
+        assert r.validity_min_n == max(a.validity_min_n, b.validity_min_n)
+        for n in ns:
+            want = (a.eval_at(n) / b.den(n) if op is None
+                    else op(a.eval_at(n), b.eval_at(n)))
+            assert r.eval_at(n) == want, n
+    _reduced_form_holds(a)
+
+
+def test_large_degree_operators_search_only_linear_numerators(monkeypatch):
+    # the operators combine the fans' factors, and only the divisor n - 1
+    # is searched: searching the degree-6,000 product would fail here
+    search = ratfun._linear_factors
+
+    def linear_only(den):
+        if den.degree > 1:
+            raise AssertionError(f"searched a polynomial of degree "
+                                 f"{den.degree} for its linear factors")
+        return search(den)
+
+    monkeypatch.setattr(ratfun, "_linear_factors", linear_only)
+    a, b = invariants.fan((1500, 1500)), invariants.fan((3000,))
+    start = time.perf_counter()
+    total, difference, product_ = a + b, a - b, a * b
+    quotient = a / Poly((-1, 1))
+    equal = a == b
+    hash(a), hash(b)
+    assert time.perf_counter() - start < 1
+    assert not equal and b + a == total and hash(b + a) == hash(total)
+    n = 4
+    va, vb = a.eval_at(n), b.eval_at(n)
+    assert total.eval_at(n) == va + vb
+    assert difference.eval_at(n) == va - vb
+    assert product_.eval_at(n) == va * vb
+    assert quotient.eval_at(n) == va / (n - 1)
+    assert len(total.shifts) == 3000 and len(product_.shifts) == 6000
+    assert invariants.exchange_e2() == invariants.exchange_e2_by_unitarity()
+    for suite in (suites.run_invariant_relations, suites.run_paper_tables):
+        assert all(check.ok for check in suite()), suite.__name__
 
 
 def _catalog_and_small_xi():
